@@ -39,7 +39,14 @@ from .experiment import (
     mixture_state,
     surface,
 )
-from .montecarlo import CountTable, DetectionModel, estimate, run, sample_shot
+from .montecarlo import (
+    CountTable,
+    DetectionModel,
+    estimate,
+    run,
+    sample_shot,
+    window_probabilities,
+)
 from .analysis import (
     SpacetimeEvent,
     Visibility,

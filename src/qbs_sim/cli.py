@@ -9,7 +9,8 @@ Subcommands:
 
 Grid syntax is start:stop:steps with inclusive endpoints; theta is in
 radians, alpha in degrees.  Exit codes: 0 success, 1 validation error,
-2 runtime or self-check failure.  QBS_SIM_THREADS caps the worker count.
+2 runtime or self-check failure.  Stdout carries only the payload; the seed
+and other diagnostics go to stderr.
 """
 from __future__ import annotations
 
@@ -27,6 +28,8 @@ from .surfaces import CorrelationSurface, SurfacePoint
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
+#: phase-scan points per basis in ``bell``
+BELL_SCAN_POINTS = 17
 
 
 class UsageError(ValueError):
@@ -39,6 +42,8 @@ def parse_grid(spec: str) -> np.ndarray:
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}, expected start:stop:steps") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"grid spec {spec!r} has a non-finite endpoint")
     if steps < 1:
         raise UsageError(f"grid needs at least 1 step, got {steps}")
     if steps == 1:
@@ -57,18 +62,25 @@ def _settings(args, theta=0.0, alpha=0.0) -> qdc.ExperimentSettings:
 
 def _model(args) -> mc.DetectionModel:
     seed = args.seed if args.seed is not None else np.random.SeedSequence().entropy % 2**63
-    return mc.DetectionModel(
-        efficiency=args.efficiency, dark_probability=args.dark, seed=int(seed)
-    )
+    try:
+        return mc.DetectionModel(
+            efficiency=args.efficiency, dark_probability=args.dark, seed=int(seed)
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _write_file(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _write(args, text: str):
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc}") from exc
+        _write_file(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -79,11 +91,12 @@ def cmd_sweep(args) -> int:
     if args.shots is None:
         surf = qdc.surface(_settings(args), thetas, alphas)
     else:
-        if args.shots < 1:
-            raise UsageError("--shots must be >= 1")
+        n_points = len(thetas) * len(alphas)
+        if args.shots < n_points:
+            raise UsageError(f"--shots {args.shots} is below the {n_points} grid points")
         model = _model(args)
-        print(f"seed: {model.seed}")
-        per_point = max(args.shots // (len(thetas) * len(alphas)), 1)
+        print(f"seed: {model.seed}", file=sys.stderr)
+        per_point = args.shots // n_points
         grid = []
         stream = 0
         for theta in thetas:
@@ -102,19 +115,18 @@ def cmd_sweep(args) -> int:
         payload = surf.to_csv()
     _write(args, payload)
     print(f"points: {len(surf.points)}  min: {surf.min_value():.6f}  "
-          f"max: {surf.max_value():.6f}")
+          f"max: {surf.max_value():.6f}", file=sys.stderr)
     if args.dump_state:
         state = qdc.build_qdc_state(_settings(args, float(thetas[0]), float(alphas[0])))
         if not hasattr(state, "amplitudes"):
             raise UsageError("--dump-state requires the entangled input")
-        with open(args.dump_state, "w") as fh:
-            fh.write(dump_state(state))
+        _write_file(args.dump_state, dump_state(state))
     return EXIT_OK
 
 
-def _scan_visibility(args, model, basis, alpha, n_points=17, stream=0):
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_points)
-    per_point = max(args.shots // (2 * n_points), 1)
+def _scan_visibility(args, model, basis, alpha, stream):
+    thetas = np.linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
+    per_point = args.shots // (2 * BELL_SCAN_POINTS)
     values, errs = [], []
     for theta in thetas:
         s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha,
@@ -128,15 +140,19 @@ def _scan_visibility(args, model, basis, alpha, n_points=17, stream=0):
 
 
 def cmd_bell(args) -> int:
+    if args.shots < 2 * BELL_SCAN_POINTS:
+        raise UsageError(f"--shots {args.shots} is below the "
+                         f"{2 * BELL_SCAN_POINTS} scan points")
     model = _model(args)
-    print(f"seed: {model.seed}")
+    print(f"seed: {model.seed}", file=sys.stderr)
     v_hv = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, stream=0)
     v_da = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, stream=1)
     s, sigma = analysis.bell_parameter(v_hv, v_da)
     nsig = analysis.classical_bound_violation(s, sigma) if sigma > 0 else float("inf")
-    print(f"V_HV = {v_hv.value:.4f} +/- {v_hv.uncertainty:.4f}")
-    print(f"V_DA = {v_da.value:.4f} +/- {v_da.uncertainty:.4f}")
-    print(f"S = {s:.4f} +/- {sigma:.4f}  ({nsig:.1f} sigma above 2)")
+    _write(args,
+           f"V_HV = {v_hv.value:.4f} +/- {v_hv.uncertainty:.4f}\n"
+           f"V_DA = {v_da.value:.4f} +/- {v_da.uncertainty:.4f}\n"
+           f"S = {s:.4f} +/- {sigma:.4f}  ({nsig:.1f} sigma above 2)\n")
     return EXIT_OK
 
 
@@ -147,7 +163,7 @@ def cmd_causality(args) -> int:
     if args.fiber_length is not None:
         delay = analysis.propagation_delay(args.fiber_length, args.refractive_index)
         print(f"fiber delay: {delay:.1f} ns "
-              f"({args.fiber_length} m, n = {args.refractive_index})")
+              f"({args.fiber_length} m, n = {args.refractive_index})", file=sys.stderr)
     _write(args, report + "\n")
     return EXIT_OK
 
@@ -225,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    def add_output(sp):
         sp.add_argument("--output", default=None, help="output file (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     def add_model(sp):
         sp.add_argument("--shots", type=int, default=None)
@@ -239,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--basis", choices=("hv", "da"), default="hv")
 
     sp = sub.add_parser("sweep", help="correlation surface on a (theta, alpha) grid")
-    add_common(sp)
+    add_output(sp)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
     add_model(sp)
     sp.add_argument("--theta", default="0:6.283185307179586:25",
                     help="theta grid start:stop:steps (radians)")
@@ -250,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("bell", help="Bell parameter from phase-scan visibilities")
-    add_common(sp)
+    add_output(sp)
     add_model(sp)
     sp.set_defaults(func=cmd_bell)
 
     sp = sub.add_parser("causality", help="space-like separation check")
-    add_common(sp)
+    add_output(sp)
     sp.add_argument("--delta-x", type=float, default=20.0,
                     help="spatial separation of the detection events (m)")
     sp.add_argument("--delta-t", type=float, default=20.0,

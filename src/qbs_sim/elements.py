@@ -36,7 +36,7 @@ class OpticalElement:
     path with a missing polarization is treated as a configuration error.
     """
 
-    __slots__ = ("name", "side", "columns", "input_paths", "output_paths")
+    __slots__ = ("name", "side", "columns", "input_paths")
 
     def __init__(self, name: str, side: str, columns: dict[Mode, dict[Mode, complex]]):
         if side not in (SIDE_TEST, SIDE_CORROBORATIVE):
@@ -48,7 +48,6 @@ class OpticalElement:
             for m, col in columns.items()
         }
         self.input_paths = {m.path for m in columns}
-        self.output_paths = {o.path for col in columns.values() for o in col}
         dev = check_unitary(self)
         if dev > UNITARITY_TOL:
             raise ElementError(f"{name}: not unitary, max deviation {dev:.3g}")

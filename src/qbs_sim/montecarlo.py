@@ -7,36 +7,33 @@ can fire spuriously with the dark probability.  Windows are kept only when
 exactly one corroborative and exactly one test detector clicked; everything
 else is counted as a discard, mirroring hardware XOR gating.
 
-Shots are generated in fixed-size chunks with per-chunk derived RNG streams,
-so the totals are bit-identical for any worker count under a fixed seed.
+Those three draws are independent, so the probabilities of the 6 count cells
+have a closed form (``window_probabilities``), and a whole count table is a
+single multinomial draw from it.  ``sample_shot`` simulates one window click
+by click and is the reference the closed form is tested against.
 """
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
 
 from . import experiment as qdc
-from .states import H, V, MixedState
+from .states import H, MixedState
 
-CHUNK_SIZE = 32768
-
-#: detector order used for the click matrix
+#: detector names, corroborative first
 DETECTORS = ("D_H", "D_V", "D_a", "D_a'", "D_b", "D_b'")
-_TEST_DETECTORS = DETECTORS[2:]
 #: terminal-path order matching the joint outcome encoding
 _PATH_TO_DET = tuple(
     DETECTORS.index(qdc.PATH_DETECTORS[p]) for p in qdc.TERMINAL_PATHS
 )
-_GROUP_OF_DET = {
-    d: (qdc.GROUP_A if qdc.DETECTOR_PATHS[d] in qdc.GROUP_PATHS[qdc.GROUP_A]
-        else qdc.GROUP_B)
-    for d in _TEST_DETECTORS
-}
+#: 1 where a terminal path (row) belongs to a group (column)
+_IN_GROUP = np.array(
+    [[p in qdc.GROUP_PATHS[g] for g in qdc.GROUPS] for p in qdc.TERMINAL_PATHS],
+    dtype=float,
+)
 
 CATEGORIES = tuple(
     (corr, grp) for corr in qdc.CORROBORATIVE_DETECTORS for grp in qdc.GROUPS
@@ -54,7 +51,7 @@ class DetectionModel:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_probability <= 1.0:
-            raise ValueError(f"dark probability outside [0, 1]")
+            raise ValueError(f"dark probability {self.dark_probability} outside [0, 1]")
 
 
 @dataclass
@@ -64,15 +61,6 @@ class CountTable:
     discarded_zero: int = 0   # windows without a two-fold coincidence
     discarded_multi: int = 0  # windows violating the XOR condition
     shots: int = 0
-
-    def merge(self, other: "CountTable") -> "CountTable":
-        for c in CATEGORIES:
-            self.counts[c] += other.counts[c]
-        self.valid += other.valid
-        self.discarded_zero += other.discarded_zero
-        self.discarded_multi += other.discarded_multi
-        self.shots += other.shots
-        return self
 
     def to_json(self, settings=None, model=None, indent=2) -> str:
         obj = {
@@ -126,42 +114,6 @@ def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> np.ndarray:
     return probs / total
 
 
-def _sample_chunk(probs: np.ndarray, model: DetectionModel, n: int,
-                  rng: np.random.Generator) -> CountTable:
-    outcome = rng.choice(8, size=n, p=probs)
-    keep_c = rng.random(n) < model.efficiency
-    keep_t = rng.random(n) < model.efficiency
-    clicks = rng.random((n, 6)) < model.dark_probability
-
-    c_det = outcome // 4          # 0 = D_H, 1 = D_V
-    t_det = np.take(_PATH_TO_DET, outcome % 4)
-    rows = np.arange(n)
-    # signal clicks survive with the detector efficiency
-    clicks[rows[keep_c], c_det[keep_c]] = True
-    clicks[rows[keep_t], t_det[keep_t]] = True
-
-    n_corr = clicks[:, :2].sum(axis=1)
-    n_test = clicks[:, 2:].sum(axis=1)
-    valid = (n_corr == 1) & (n_test == 1)
-    zero = (n_corr == 0) | (n_test == 0)
-
-    table = CountTable(shots=n)
-    table.valid = int(valid.sum())
-    table.discarded_zero = int(zero.sum())
-    table.discarded_multi = n - table.valid - table.discarded_zero
-
-    v_corr = clicks[valid, 1]                       # False -> D_H
-    v_test = clicks[valid, 2:].argmax(axis=1) + 2   # index of the one click
-    for (corr, grp) in CATEGORIES:
-        corr_flag = corr == "D_V"
-        group_mask = np.array(
-            [_GROUP_OF_DET[DETECTORS[i]] == grp for i in range(2, 6)]
-        )
-        sel = (v_corr == corr_flag) & group_mask[v_test - 2]
-        table.counts[(corr, grp)] = int(sel.sum())
-    return table
-
-
 def sample_shot(settings: qdc.ExperimentSettings, model: DetectionModel,
                 rng: np.random.Generator) -> frozenset[str]:
     """Single coincidence window; returns the set of detectors that clicked."""
@@ -178,43 +130,55 @@ def sample_shot(settings: qdc.ExperimentSettings, model: DetectionModel,
     return frozenset(clicked)
 
 
-def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
-        workers: int | None = None, stream: int = 0) -> CountTable:
-    """Accumulate a CountTable over ``n_shots`` windows.
+def window_probabilities(settings: qdc.ExperimentSettings,
+                         model: DetectionModel) -> np.ndarray:
+    """Exact probabilities of the 6 window cells: the 4 ``CATEGORIES`` in
+    order, then ``discarded_zero``, then ``discarded_multi``.
 
-    Chunk i always uses the generator derived from (seed, stream, i), so the
-    result does not depend on ``workers``; distinct ``stream`` values give
-    independent draws under the same seed (used for multi-scan commands).
-    ``workers`` defaults to the QBS_SIM_THREADS environment variable, else 1.
+    Given the joint outcome the two sides click independently.  A side's
+    signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
+    of its other detectors with the dark probability ``d``.
+    """
+    eta, d = model.efficiency, model.dark_probability
+    on = 1.0 - (1.0 - eta) * (1.0 - d)
+    # P(only the signal detector fires), P(only one given other one fires)
+    corr_sig, corr_other = on * (1.0 - d), (1.0 - on) * d
+    test_sig, test_other = on * (1.0 - d) ** 3, (1.0 - on) * d * (1.0 - d) ** 2
+    # corroborative signal (row) -> the single click is D_H / D_V (column)
+    corr = np.array([[corr_sig, corr_other], [corr_other, corr_sig]])
+    # terminal path (row) -> the single test click lies in group A / B
+    test = _IN_GROUP * test_sig + (_IN_GROUP.sum(axis=0) - _IN_GROUP) * test_other
+    joint = joint_outcome_probabilities(settings).reshape(2, 4)
+    valid = corr.T @ joint @ test
+    # a side with no click at all; its probability is the same for every outcome
+    z_c = (1.0 - on) * (1.0 - d)
+    z_t = (1.0 - on) * (1.0 - d) ** 3
+    zero = z_c + z_t - z_c * z_t
+    multi = max(1.0 - valid.sum() - zero, 0.0)  # clamp rounding below 0
+    return np.concatenate([valid.ravel(), [zero, multi]])
+
+
+def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
+        stream: int = 0) -> CountTable:
+    """Draw a CountTable over ``n_shots`` windows in one multinomial.
+
+    The generator is derived from (seed, stream), so repeated calls give the
+    same table; distinct ``stream`` values give independent draws under the
+    same seed (used for multi-scan commands).
     """
     if n_shots <= 0:
         raise ValueError("n_shots must be positive")
-    if workers is None:
-        workers = int(os.environ.get("QBS_SIM_THREADS", "1"))
-    workers = max(1, workers)
-
-    probs = joint_outcome_probabilities(settings)
-    sizes = [CHUNK_SIZE] * (n_shots // CHUNK_SIZE)
-    if n_shots % CHUNK_SIZE:
-        sizes.append(n_shots % CHUNK_SIZE)
-
-    def one(args):
-        i, size = args
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=model.seed, spawn_key=(stream, i))
-        )
-        return _sample_chunk(probs, model, size, rng)
-
-    total = CountTable()
-    jobs = list(enumerate(sizes))
-    if workers == 1 or len(jobs) == 1:
-        results = map(one, jobs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    for t in results:
-        total.merge(t)
-    return total
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=model.seed, spawn_key=(stream,))
+    )
+    cells = rng.multinomial(n_shots, window_probabilities(settings, model))
+    return CountTable(
+        counts={c: int(n) for c, n in zip(CATEGORIES, cells[:4])},
+        valid=int(cells[:4].sum()),
+        discarded_zero=int(cells[4]),
+        discarded_multi=int(cells[5]),
+        shots=n_shots,
+    )
 
 
 def estimate(table: CountTable, corroborative: str = "D_H",

@@ -15,6 +15,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_usage_error(capsys, *argv):
+    """Bad input exits 1 with one ``error:`` line and no payload."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestParseGrid:
     def test_inclusive_endpoints(self):
         g = cli.parse_grid("0:6.283185307179586:25")
@@ -38,7 +46,7 @@ class TestParseGrid:
 class TestSweep:
     def test_default_analytic_grid(self, capsys, tmp_path):
         out_file = tmp_path / "surface.csv"
-        code, out, _ = run_cli(capsys, "sweep", "--output", str(out_file))
+        code, _, err = run_cli(capsys, "sweep", "--output", str(out_file))
         assert code == 0
         lines = out_file.read_text().splitlines()
         assert lines[0] == "theta_rad,alpha_deg,probability"
@@ -48,7 +56,7 @@ class TestSweep:
             theta, alpha, p = line.split(",")
             if float(alpha) == 0.0:
                 assert float(p) == pytest.approx(0.5, abs=1e-12)
-        assert "points: 325" in out
+        assert "points: 325" in err
 
     def test_single_point_wave_peak(self, capsys):
         code, out, _ = run_cli(
@@ -67,6 +75,54 @@ class TestSweep:
         payload = json.loads(out[: out.rindex("]") + 1])
         assert len(payload) == 3
         assert payload[0]["alpha_deg"] == 0.0
+
+    def test_json_stdout_is_only_the_payload(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--theta", "0:1:2", "--alpha", "0:90:3", "--format", "json",
+            "--shots", "600", "--seed", "5",
+        )
+        assert code == 0
+        assert len(json.loads(out)) == 6
+        assert "seed: 5" in err and "points: 6" in err
+
+    def test_sampled_csv_stdout_is_only_the_payload(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--theta", "0:1:3", "--alpha", "0:90:2",
+            "--shots", "6000", "--seed", "5",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 6
+        width = len(lines[0].split(","))
+        assert all(len(line.split(",")) == width for line in lines)
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--efficiency", "1.5"), ("--efficiency", "-0.1"), ("--dark", "2"),
+    ])
+    def test_probability_outside_unit_interval_exits_1(self, capsys, flag, value):
+        assert_usage_error(capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
+                           "--shots", "100", flag, value)
+
+    def test_nan_grid_endpoint_exits_1(self, capsys):
+        assert_usage_error(capsys, "sweep", "--theta", "nan:1:2")
+
+    def test_infinite_dark_probability_exits_1(self, capsys):
+        assert_usage_error(capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
+                           "--shots", "100", "--dark", "inf")
+
+    def test_fewer_shots_than_grid_points_exits_1(self, capsys):
+        assert_usage_error(capsys, "sweep", "--theta", "0:1:5", "--alpha", "0:90:3",
+                           "--shots", "14")
+
+    def test_unwritable_dump_state_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
+            "--dump-state", str(tmp_path / "missing" / "state.json"),
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: cannot write")
 
     def test_invalid_grid_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta", "nonsense")
@@ -135,7 +191,7 @@ class TestSweep:
 
 class TestBell:
     def test_small_run_prints_summary(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "bell", "--shots", "60000", "--seed", "11",
             "--efficiency", "1.0", "--dark", "0.0",
@@ -145,6 +201,28 @@ class TestBell:
         s_line = next(l for l in out.splitlines() if l.startswith("S ="))
         s_value = float(s_line.split()[2])
         assert s_value > 2.6
+        assert "seed: 11" in err and "seed" not in out
+
+    def test_output_file_gets_the_summary(self, capsys, tmp_path):
+        out_file = tmp_path / "bell.txt"
+        code, out, _ = run_cli(
+            capsys,
+            "bell", "--shots", "60000", "--seed", "11", "--output", str(out_file),
+        )
+        assert code == 0
+        assert out == ""
+        assert any(l.startswith("S = ") for l in out_file.read_text().splitlines())
+
+    def test_invalid_efficiency_exits_1(self, capsys):
+        assert_usage_error(capsys, "bell", "--shots", "60000", "--efficiency", "2")
+
+    def test_fewer_shots_than_scan_points_exits_1(self, capsys):
+        assert_usage_error(capsys, "bell", "--shots", "33")
+
+    def test_format_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bell", "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestCausality:
@@ -167,9 +245,15 @@ class TestCausality:
         assert rep["spacelike"] is True
 
     def test_fiber_delay_printed(self, capsys):
-        code, out, _ = run_cli(capsys, "causality", "--fiber-length", "50")
+        code, out, err = run_cli(capsys, "causality", "--fiber-length", "50")
         assert code == 0
-        assert "fiber delay: 244.8 ns" in out
+        assert "fiber delay: 244.8 ns" in err
+        assert json.loads(out)["spacelike"] is True
+
+    def test_format_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["causality", "--format", "csv"])
+        assert exc.value.code == 2
 
 
 class TestVerify:

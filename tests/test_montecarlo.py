@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -13,6 +14,19 @@ def settings(**kw):
 
 
 IDEAL = dict(efficiency=1.0, dark_probability=0.0)
+
+
+def window_cell(clicked: frozenset) -> int:
+    """Index of a window's cell in ``window_probabilities`` order."""
+    corr = sorted(clicked & {"D_H", "D_V"})
+    test = sorted(clicked - {"D_H", "D_V"})
+    if not corr or not test:
+        return 4
+    if len(corr) > 1 or len(test) > 1:
+        return 5
+    path = qdc.DETECTOR_PATHS[test[0]]
+    group = qdc.GROUP_A if path in qdc.GROUP_PATHS[qdc.GROUP_A] else qdc.GROUP_B
+    return mc.CATEGORIES.index((corr[0], group))
 
 
 class TestModel:
@@ -57,6 +71,89 @@ class TestSampleShot:
         assert mc.sample_shot(settings(), model, rng) == frozenset(mc.DETECTORS)
 
 
+class TestWindowProbabilities:
+    CASES = [
+        (settings(theta=1.0, alpha_deg=40.0), 0.25, 1e-3),
+        (settings(theta=0.3, alpha_deg=70.0, basis=qdc.BASIS_DA,
+                  input=qdc.INPUT_MIXTURE), 0.6, 0.05),
+        (settings(theta=2.0, alpha_deg=10.0), 1.0, 0.3),
+        (settings(theta=4.0, alpha_deg=90.0), 0.0, 0.0),
+        (settings(theta=0.5), 0.7, 1.0),
+    ]
+
+    @pytest.mark.parametrize("s,eta,dark", CASES)
+    def test_sums_to_one(self, s, eta, dark):
+        model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
+        p = mc.window_probabilities(s, model)
+        assert p.shape == (6,)
+        assert np.all(p >= 0.0)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s,eta,dark", CASES)
+    def test_matches_enumeration_of_click_patterns(self, s, eta, dark):
+        # every (joint outcome, signal survivals, dark clicks) pattern of one
+        # window, weighted by its exact probability
+        def bernoulli(q, hit):
+            return q if hit else 1.0 - q
+
+        joint = mc.joint_outcome_probabilities(s)
+        cells = np.zeros(6)
+        for outcome in range(8):
+            signals = (qdc.CORROBORATIVE_DETECTORS[outcome // 4],
+                       qdc.PATH_DETECTORS[qdc.TERMINAL_PATHS[outcome % 4]])
+            for keep in itertools.product((False, True), repeat=2):
+                for darks in itertools.product((False, True), repeat=6):
+                    clicked = {d for d, hit in zip(mc.DETECTORS, darks) if hit}
+                    clicked |= {d for d, hit in zip(signals, keep) if hit}
+                    weight = joint[outcome]
+                    for hit in keep:
+                        weight *= bernoulli(eta, hit)
+                    for hit in darks:
+                        weight *= bernoulli(dark, hit)
+                    cells[window_cell(frozenset(clicked))] += weight
+        model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
+        np.testing.assert_allclose(mc.window_probabilities(s, model), cells,
+                                   rtol=0, atol=1e-12)
+
+    def test_ideal_detectors_give_joint_probabilities_by_group(self):
+        s = settings(theta=1.3, alpha_deg=25.0)
+        p = mc.window_probabilities(s, mc.DetectionModel(**IDEAL))
+        joint = mc.joint_outcome_probabilities(s)
+        for i, (corr, grp) in enumerate(mc.CATEGORIES):
+            ci = qdc.CORROBORATIVE_DETECTORS.index(corr)
+            expected = sum(
+                joint[ci * 4 + ti]
+                for ti, path in enumerate(qdc.TERMINAL_PATHS)
+                if path in qdc.GROUP_PATHS[grp]
+            )
+            assert p[i] == pytest.approx(expected, abs=1e-12)
+        assert p[4] == p[5] == 0.0
+
+    def test_blind_detectors_give_only_zero_windows(self):
+        model = mc.DetectionModel(efficiency=0.0, dark_probability=0.0)
+        p = mc.window_probabilities(settings(theta=0.9), model)
+        assert list(p) == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+
+    def test_saturated_dark_counts_give_only_multi_windows(self):
+        model = mc.DetectionModel(efficiency=0.3, dark_probability=1.0)
+        p = mc.window_probabilities(settings(theta=0.9), model)
+        assert list(p) == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+    def test_sample_shot_matches_cells_chi_square(self):
+        s = settings(theta=1.0, alpha_deg=40.0)
+        model = mc.DetectionModel(efficiency=0.5, dark_probability=0.05)
+        rng = np.random.default_rng(2026)
+        n = 2000
+        observed = np.zeros(6)
+        for _ in range(n):
+            observed[window_cell(mc.sample_shot(s, model, rng))] += 1
+        expected = n * mc.window_probabilities(s, model)
+        assert expected.min() > 5  # every cell populated
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        # 5 degrees of freedom; 20.52 is the 0.1 % critical value
+        assert chi2 < 20.52
+
+
 class TestRun:
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -78,10 +175,9 @@ class TestRun:
     def test_determinism_same_seed(self):
         model = mc.DetectionModel(seed=123)
         s = settings(theta=0.4, alpha_deg=55.0)
-        t1 = mc.run(s, model, 70_000, workers=1)
-        t2 = mc.run(s, model, 70_000, workers=4)
-        t3 = mc.run(s, model, 70_000, workers=8)
-        assert t1.to_json() == t2.to_json() == t3.to_json()
+        blobs = {mc.run(s, model, 70_000, stream=3).to_json() for _ in range(3)}
+        assert len(blobs) == 1
+        assert mc.run(s, model, 70_000, stream=4).to_json() not in blobs
 
     def test_different_seeds_within_scatter(self):
         s = settings(theta=1.0, alpha_deg=60.0)
@@ -124,6 +220,9 @@ class TestRun:
             model = mc.DetectionModel(efficiency=0.25, dark_probability=dark, seed=77)
             est = mc.estimate(mc.run(s, model, 400_000, stream=stream))
             values.append(est.value)
+            p = mc.window_probabilities(s, model)
+            exact = p[0] / (p[0] + p[1])  # (D_H, A) given D_H
+            assert abs(est.value - exact) < 4 * est.stderr
         assert values[0] > values[1] > values[2] > 0.5
 
     def test_mixture_da_categories_balanced_at_quadrature(self):
