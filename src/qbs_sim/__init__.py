@@ -15,7 +15,6 @@ from .states import (
     mix,
 )
 from .elements import (
-    Circuit,
     OpticalElement,
     apply,
     beam_splitter_50_50,
@@ -35,6 +34,7 @@ from .experiment import (
     category_probability,
     closed_form_ia,
     complementary_probability,
+    joint_probabilities,
     joint_probability,
     mixture_state,
     surface,

@@ -61,10 +61,12 @@ def _settings(args, theta=0.0, alpha=0.0) -> qdc.ExperimentSettings:
 
 
 def _model(args) -> mc.DetectionModel:
-    seed = args.seed if args.seed is not None else np.random.SeedSequence().entropy % 2**63
+    seed = args.seed
+    if seed is None and args.shots is not None:  # an analytic run draws no seed
+        seed = np.random.SeedSequence().entropy % 2**63
     try:
         return mc.DetectionModel(
-            efficiency=args.efficiency, dark_probability=args.dark, seed=int(seed)
+            efficiency=args.efficiency, dark_probability=args.dark, seed=int(seed or 0)
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -88,23 +90,20 @@ def _write(args, text: str):
 def cmd_sweep(args) -> int:
     thetas = parse_grid(args.theta)
     alphas = parse_grid(args.alpha)
+    model = _model(args)  # checks the detection flags on both sweep paths
+    if args.dump_state and args.input != qdc.INPUT_ENTANGLED:
+        raise UsageError("--dump-state requires the entangled input")
     if args.shots is None:
         surf = qdc.surface(_settings(args), thetas, alphas)
     else:
         n_points = len(thetas) * len(alphas)
         if args.shots < n_points:
             raise UsageError(f"--shots {args.shots} is below the {n_points} grid points")
-        model = _model(args)
         print(f"seed: {model.seed}", file=sys.stderr)
         per_point = args.shots // n_points
-        grid = []
-        stream = 0
-        for theta in thetas:
-            for alpha in alphas:
-                s = _settings(args, float(theta), float(alpha))
-                grid.append((float(theta), float(alpha),
-                             mc.run(s, model, per_point, stream=stream)))
-                stream += 1
+        points = [(float(t), float(a)) for t in thetas for a in alphas]
+        grid = [(t, a, mc.run(_settings(args, t, a), model, per_point, stream=i))
+                for i, (t, a) in enumerate(points)]
         surf = analysis.surface_from_counts(grid)
     if args.format == "json":
         import json
@@ -113,24 +112,24 @@ def cmd_sweep(args) -> int:
         )
     else:
         payload = surf.to_csv()
+    if args.dump_state:  # first, so a bad path fails before the payload is out
+        state = qdc.build_qdc_state(_settings(args, float(thetas[0]), float(alphas[0])))
+        _write_file(args.dump_state, dump_state(state))
     _write(args, payload)
     print(f"points: {len(surf.points)}  min: {surf.min_value():.6f}  "
           f"max: {surf.max_value():.6f}", file=sys.stderr)
-    if args.dump_state:
-        state = qdc.build_qdc_state(_settings(args, float(thetas[0]), float(alphas[0])))
-        if not hasattr(state, "amplitudes"):
-            raise UsageError("--dump-state requires the entangled input")
-        _write_file(args.dump_state, dump_state(state))
     return EXIT_OK
 
 
-def _scan_visibility(args, model, basis, alpha, stream):
+def _scan_visibility(args, model, basis, alpha, basis_index):
+    """Fit one phase scan; every point draws from its own RNG stream."""
     thetas = np.linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
     per_point = args.shots // (2 * BELL_SCAN_POINTS)
     values, errs = [], []
-    for theta in thetas:
+    for i, theta in enumerate(thetas):
         s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha,
                                    basis=basis, input=args.input)
+        stream = basis_index * BELL_SCAN_POINTS + i
         est = mc.estimate(mc.run(s, model, per_point, stream=stream))
         if not est.defined:
             raise analysis.FitError(f"no conditioned counts at theta={theta}")
@@ -145,8 +144,8 @@ def cmd_bell(args) -> int:
                          f"{2 * BELL_SCAN_POINTS} scan points")
     model = _model(args)
     print(f"seed: {model.seed}", file=sys.stderr)
-    v_hv = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, stream=0)
-    v_da = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, stream=1)
+    v_hv = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, basis_index=0)
+    v_da = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, basis_index=1)
     s, sigma = analysis.bell_parameter(v_hv, v_da)
     nsig = analysis.classical_bound_violation(s, sigma) if sigma > 0 else float("inf")
     _write(args,
@@ -157,6 +156,10 @@ def cmd_bell(args) -> int:
 
 
 def cmd_causality(args) -> int:
+    for flag in ("delta_x", "delta_t", "fiber_length", "refractive_index"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"--{flag.replace('_', '-')} must be finite, got {value}")
     e_test = analysis.SpacetimeEvent(0.0, 0.0)
     e_corr = analysis.SpacetimeEvent(args.delta_x, args.delta_t)
     report = analysis.causality_report(e_test, e_corr)
@@ -184,24 +187,18 @@ def cmd_verify(args) -> int:
     # checkpoint fidelities along the apparatus
     dev_pdbs = dev_erasers = dev_rot = 0.0
     for theta in thetas:
-        s = qdc.ExperimentSettings(theta=float(theta),
-                                   bs_reflection_phase=phase)
-        pre = el.apply_all(qdc.test_side_circuit(s)[:3], qdc.bell_state())
-        dev_pdbs = max(dev_pdbs,
-                       1.0 - fidelity(pre, qdc.reference_after_pdbs(theta)))
-        full = el.apply_all(qdc.test_side_circuit(s), qdc.bell_state())
+        s = qdc.ExperimentSettings(theta=float(theta), bs_reflection_phase=phase)
+        chain = qdc.test_side_circuit(s)
+        pre = el.apply_all(chain[:3], qdc.bell_state())
+        dev_pdbs = max(dev_pdbs, 1.0 - fidelity(pre, qdc.reference_after_pdbs(theta)))
+        full = el.apply_all(chain[3:], pre)
         dev_erasers = max(dev_erasers,
                           1.0 - fidelity(full, qdc.reference_after_erasers(theta)))
         for alpha in (0.0, 30.0, 45.0, 90.0):
-            sa = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha,
-                                        bs_reflection_phase=phase)
-            evolved = el.apply_all(
-                qdc.test_side_circuit(sa) + qdc.corroborative_side_circuit(sa),
-                qdc.bell_state(),
-            )
-            dev_rot = max(dev_rot,
-                          1.0 - fidelity(evolved,
-                                         qdc.reference_after_rotator(theta, alpha)))
+            rotated = el.apply_all(qdc.corroborative_side_circuit(
+                qdc.ExperimentSettings(alpha_deg=alpha)), full)
+            dev_rot = max(dev_rot, 1.0 - fidelity(
+                rotated, qdc.reference_after_rotator(theta, alpha)))
     report("splitter checkpoint fidelity", dev_pdbs, 1e-10)
     report("eraser checkpoint fidelity", dev_erasers, 1e-10)
     report("rotator checkpoint fidelity", dev_rot, 1e-10)
@@ -219,16 +216,10 @@ def cmd_verify(args) -> int:
     report("composite splitter equivalence", dev_comp, 1e-10)
 
     # closed-form oracle over a coarse grid
-    dev_oracle = 0.0
-    for theta in np.linspace(0.0, 2.0 * math.pi, max(args.grid, 2)):
-        for alpha in np.linspace(0.0, 90.0, max(args.grid // 2, 2)):
-            s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=float(alpha),
-                                       bs_reflection_phase=phase)
-            dev_oracle = max(
-                dev_oracle,
-                abs(qdc.category_probability(s)
-                    - qdc.closed_form_ia(float(theta), float(alpha))),
-            )
+    surf = qdc.surface(qdc.ExperimentSettings(bs_reflection_phase=phase), thetas,
+                       np.linspace(0.0, 90.0, max(args.grid // 2, 2)))
+    dev_oracle = max(abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg))
+                     for p in surf.points)
     report("closed-form correlation oracle", dev_oracle, 1e-10)
 
     return EXIT_OK if failures == 0 else EXIT_FAILURE

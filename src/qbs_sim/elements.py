@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .states import H, V, Mode, MixedState, TwoPhotonState
+from .states import H, V, Mode, TwoPhotonState
 
 UNITARITY_TOL = 1e-12
 
@@ -63,16 +63,6 @@ class OpticalElement:
         return {mode: 1.0 + 0j}
 
 
-class Circuit:
-    """Ordered sequence of optical elements."""
-
-    def __init__(self, elements: Iterable[OpticalElement]):
-        self.elements = list(elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
 def check_unitary(element: OpticalElement) -> float:
     """Return max |U^dag U - I| over the element's declared input space.
 
@@ -110,11 +100,6 @@ def apply_all(
     for el in elements:
         state = apply(el, state)
     return state
-
-
-def apply_ensemble(elements: Iterable[OpticalElement], mixed: MixedState) -> MixedState:
-    els = list(elements)
-    return MixedState([(w, apply_all(els, s)) for w, s in mixed.components])
 
 
 def _require_distinct(*paths: str):
@@ -221,54 +206,32 @@ def pdbs_composite(
     out_a: str = "a",
     out_b: str = "b",
     side: str = SIDE_TEST,
-) -> Circuit:
+) -> list[OpticalElement]:
     """Bulk realization of the polarization-dependent splitter.
 
     Four H/V polarizing splitters route the H components around an ordinary
     50/50 splitter while the V components pass through it; a final pair of
     splitters recombines the two polarizations on each output port.
     """
+    def route(name, *routes):
+        # (input path, output path, polarization) rails of an H/V splitter
+        cols = {Mode(i, p): {Mode(o, p): 1.0} for i, o, p in routes}
+        return OpticalElement(name, side, cols)
+
     # splitter stage: H reflected onto bypass rails, V transmitted toward BS
-    split_a = OpticalElement(
-        "PBS-split-a",
-        side,
-        {
-            Mode(in_a, H): {Mode("_ha", H): 1.0},
-            Mode(in_a, V): {Mode("_va", V): 1.0},
-        },
-    )
-    split_b = OpticalElement(
-        "PBS-split-b",
-        side,
-        {
-            Mode(in_b, H): {Mode("_hb", H): 1.0},
-            Mode(in_b, V): {Mode("_vb", V): 1.0},
-        },
-    )
-    bs = beam_splitter_50_50("_va", "_vb", "_wa", "_wb", side=side)
-    merge_a = OpticalElement(
-        "PBS-merge-a",
-        side,
-        {
-            Mode("_ha", H): {Mode(out_a, H): 1.0},
-            Mode("_wa", V): {Mode(out_a, V): 1.0},
-        },
-    )
-    merge_b = OpticalElement(
-        "PBS-merge-b",
-        side,
-        {
-            Mode("_hb", H): {Mode(out_b, H): 1.0},
-            Mode("_wb", V): {Mode(out_b, V): 1.0},
-        },
-    )
-    return Circuit([split_a, split_b, bs, merge_a, merge_b])
+    return [
+        route("PBS-split-a", (in_a, "_ha", H), (in_a, "_va", V)),
+        route("PBS-split-b", (in_b, "_hb", H), (in_b, "_vb", V)),
+        beam_splitter_50_50("_va", "_vb", "_wa", "_wb", side=side),
+        route("PBS-merge-a", ("_ha", out_a, H), ("_wa", out_a, V)),
+        route("PBS-merge-b", ("_hb", out_b, H), ("_wb", out_b, V)),
+    ]
 
 
 def circuit_columns(
-    circuit: Circuit, input_modes: Iterable[Mode]
+    circuit: list[OpticalElement], input_modes: Iterable[Mode]
 ) -> dict[Mode, dict[Mode, complex]]:
-    """End-to-end action of a circuit on the given basis input modes."""
+    """End-to-end action of an element sequence on the given basis input modes."""
     result = {}
     for mode in input_modes:
         col = {mode: 1.0 + 0j}

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import elements as el
-from .states import H, V, Mode, MixedState, TwoPhotonState, make_state, mix
+from .states import (H, V, POLARIZATIONS, Mode, MixedState, TwoPhotonState,
+                     make_state, mix)
 
 BASIS_HV = "HV"
 BASIS_DA = "DA"
@@ -43,6 +47,14 @@ GROUP_PATHS = {
 #: terminal path -> detector, fixed order used by the Monte Carlo layer
 TERMINAL_PATHS = ("a", "a'", "b", "b'")
 PATH_DETECTORS = {p: d for d, p in DETECTOR_PATHS.items()}
+#: test-photon modes at the entrance, on the two arms, and behind the erasers
+ENTRANCE_MODES = (Mode("a", H), Mode("a", V))
+ARM_MODES = (Mode("a", H), Mode("a", V), Mode("b", H), Mode("b", V))
+TERMINAL_MODES = tuple(Mode(p, pol) for p in TERMINAL_PATHS for pol in POLARIZATIONS)
+#: 1 where a terminal mode (row) belongs to an XOR group (column)
+_MODE_IN_GROUP = np.array(
+    [[m.path in GROUP_PATHS[g] for g in GROUPS] for m in TERMINAL_MODES], dtype=float
+)
 
 
 @dataclass(frozen=True)
@@ -62,19 +74,30 @@ class ExperimentSettings:
 
 def bell_state() -> TwoPhotonState:
     """Maximally entangled 1/sqrt(2) (|H>_c|H>_a + |V>_c|V>_a)."""
-    return make_state(
-        [
-            ((Mode("c", H), Mode("a", H)), 1.0),
-            ((Mode("c", V), Mode("a", V)), 1.0),
-        ]
-    )
+    return make_state([((Mode("c", p), Mode("a", p)), 1.0) for p in POLARIZATIONS])
 
 
 def mixture_state() -> MixedState:
     """Dephased Bell state: 1/2 |HH><HH| + 1/2 |VV><VV|."""
-    hh = make_state([((Mode("c", H), Mode("a", H)), 1.0)])
-    vv = make_state([((Mode("c", V), Mode("a", V)), 1.0)])
-    return mix([(0.5, hh), (0.5, vv)])
+    return mix([(0.5, make_state([((Mode("c", p), Mode("a", p)), 1.0)]))
+                for p in POLARIZATIONS])
+
+
+def _test_side_halves(
+    basis: str, bs_reflection_phase: complex
+) -> tuple[list[el.OpticalElement], list[el.OpticalElement]]:
+    """Test-side elements before and after the phase plate on arm ``b``."""
+    before: list[el.OpticalElement] = []
+    if basis == BASIS_DA:
+        before.append(el.polarization_rotator("a", -45.0, side=el.SIDE_TEST))
+    r = bs_reflection_phase
+    before.append(el.beam_splitter_50_50("a", "b", "a", "b", reflection_phase=r))
+    after = [
+        el.pdbs("a", "b", "a", "b", reflection_phase=r),
+        el.pbs_rotated("a", "a", "a'", 45.0),
+        el.pbs_rotated("b", "b", "b'", 45.0),
+    ]
+    return before, after
 
 
 def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
@@ -86,16 +109,8 @@ def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
     before the interferometer; for the entangled input this is identical to
     offsetting the corroborative rotation by +45 degrees.
     """
-    chain: list[el.OpticalElement] = []
-    if settings.basis == BASIS_DA:
-        chain.append(el.polarization_rotator("a", -45.0, side=el.SIDE_TEST))
-    r = settings.bs_reflection_phase
-    chain.append(el.beam_splitter_50_50("a", "b", "a", "b", reflection_phase=r))
-    chain.append(el.phase_shifter("b", settings.theta))
-    chain.append(el.pdbs("a", "b", "a", "b", reflection_phase=r))
-    chain.append(el.pbs_rotated("a", "a", "a'", 45.0))
-    chain.append(el.pbs_rotated("b", "b", "b'", 45.0))
-    return chain
+    before, after = _test_side_halves(settings.basis, settings.bs_reflection_phase)
+    return before + [el.phase_shifter("b", settings.theta)] + after
 
 
 def corroborative_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
@@ -103,23 +118,78 @@ def corroborative_side_circuit(settings: ExperimentSettings) -> list[el.OpticalE
 
 
 def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState:
-    """Evolve the configured input through the full apparatus."""
+    """Evolve the configured input through the full apparatus, element by
+    element.  This sparse path is the reference: it gives the checkpoint and
+    dumped states, and ``joint_probabilities`` is tested against it."""
     chain = test_side_circuit(settings) + corroborative_side_circuit(settings)
     if settings.input == INPUT_ENTANGLED:
         return el.apply_all(chain, bell_state())
-    return el.apply_ensemble(chain, mixture_state())
+    return mix([(w, el.apply_all(chain, s)) for w, s in mixture_state().components])
 
 
-def _joint(state, corroborative: str, group: str) -> float:
-    paths = GROUP_PATHS[group]
-    pol = H if corroborative == "D_H" else V
-    pred = lambda cm, tm: cm.pol == pol and tm.path in paths
-    if isinstance(state, MixedState):
-        return sum(
-            w * sum(abs(a) ** 2 for k, a in s.amplitudes.items() if pred(*k))
-            for w, s in state.components
-        )
-    return sum(abs(a) ** 2 for k, a in state.amplitudes.items() if pred(*k))
+def _matrix(columns, inputs, outputs) -> np.ndarray:
+    """Dense (outputs x inputs) form of sparse element columns."""
+    return np.array([[columns[i].get(o, 0j) for i in inputs] for o in outputs])
+
+
+@lru_cache(maxsize=None)
+def _compiled_test_side(basis: str, bs_reflection_phase: complex
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The test side as ``U(theta) = A + exp(i theta) B``: two 8x2 maps from
+    ``ENTRANCE_MODES`` to ``TERMINAL_MODES``, ``A`` through arm ``a`` and
+    ``B`` through the phase plate on arm ``b``.  Built once per key from the
+    unitarity-checked elements."""
+    before, after = _test_side_halves(basis, bs_reflection_phase)
+    pre = _matrix(el.circuit_columns(before, ENTRANCE_MODES), ENTRANCE_MODES, ARM_MODES)
+    post = _matrix(el.circuit_columns(after, ARM_MODES), ARM_MODES, TERMINAL_MODES)
+    a, b = post[:, :2] @ pre[:2], post[:, 2:] @ pre[2:]
+    a.flags.writeable = b.flags.writeable = False  # cached, shared by all callers
+    return a, b
+
+
+@lru_cache(maxsize=None)
+def _input_amplitudes(input: str) -> np.ndarray:
+    """The input as (component, corroborative pol, entrance mode) amplitudes,
+    each component scaled by the square root of its mixture weight."""
+    components = ([(1.0, bell_state())] if input == INPUT_ENTANGLED
+                  else mixture_state().components)
+    amps = np.array([
+        [[math.sqrt(w) * s.amplitudes.get((Mode("c", cp), tm), 0j)
+          for tm in ENTRANCE_MODES] for cp in POLARIZATIONS]
+        for w, s in components
+    ])
+    amps.flags.writeable = False
+    return amps
+
+
+def _rotations(alphas_deg) -> np.ndarray:
+    """(Al, 2, 2) matrices of the corroborative rotator on (H, V)."""
+    a = np.radians(np.asarray(alphas_deg, dtype=float))
+    c, s = np.cos(a), np.sin(a)
+    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+
+
+def joint_probabilities(settings: ExperimentSettings, thetas, alphas_deg) -> np.ndarray:
+    """Probabilities of (corroborative polarization, terminal test mode in
+    ``TERMINAL_MODES`` order) on the whole grid, shape ``(len(thetas),
+    len(alphas_deg), 2, 8)``.  The grid replaces ``settings.theta`` and
+    ``settings.alpha_deg``."""
+    a, b = _compiled_test_side(settings.basis, settings.bs_reflection_phase)
+    u = a + np.exp(1j * np.asarray(thetas, dtype=float))[:, None, None] * b
+    amp = np.einsum("tmj,kcj->ktcm", u, _input_amplitudes(settings.input))
+    rotated = np.einsum("lcd,ktdm->ktlcm", _rotations(alphas_deg), amp)
+    return (np.abs(rotated) ** 2).sum(axis=0)
+
+
+def _categories(settings: ExperimentSettings, corroborative: str, group: str,
+                thetas=None, alphas_deg=None) -> tuple[np.ndarray, np.ndarray]:
+    """Joint and conditional probability of one category on the grid (by
+    default the single point of ``settings``)."""
+    ci, gi = _category_index(corroborative, group)
+    thetas = [settings.theta] if thetas is None else thetas
+    alphas_deg = [settings.alpha_deg] if alphas_deg is None else alphas_deg
+    row = joint_probabilities(settings, thetas, alphas_deg)[..., ci, :] @ _MODE_IN_GROUP
+    return row[..., gi], row[..., gi] / row.sum(axis=-1)
 
 
 def joint_probability(
@@ -128,8 +198,8 @@ def joint_probability(
     """Probability of the two-fold coincidence (corroborative detector,
     XOR test group).  The four categories partition all coincidences and
     sum to 1."""
-    _check_category(corroborative, group)
-    return _joint(build_qdc_state(settings), corroborative, group)
+    joint, _ = _categories(settings, corroborative, group)
+    return float(joint[0, 0])
 
 
 def category_probability(
@@ -138,11 +208,8 @@ def category_probability(
     """Coincidence probability normalized per corroborative click,
     P(group | corroborative detector).  This is the quantity the intensity
     correlation I(theta, alpha) refers to."""
-    _check_category(corroborative, group)
-    state = build_qdc_state(settings)
-    num = _joint(state, corroborative, group)
-    den = num + _joint(state, corroborative, _other_group(group))
-    return num / den
+    _, conditional = _categories(settings, corroborative, group)
+    return float(conditional[0, 0])
 
 
 def complementary_probability(
@@ -160,37 +227,31 @@ def closed_form_ia(theta: float, alpha_deg: float) -> float:
     return math.cos(theta / 2.0) ** 2 * math.sin(a) ** 2 + 0.5 * math.cos(a) ** 2
 
 
-def surface(
-    settings: ExperimentSettings,
-    thetas,
-    alphas_deg,
-    corroborative: str = "D_H",
-    group: str = GROUP_A,
-):
+def surface(settings: ExperimentSettings, thetas, alphas_deg,
+            corroborative: str = "D_H", group: str = GROUP_A):
     """Analytic correlation surface on the (theta, alpha) grid, row-major in
-    theta then alpha.  Returns a CorrelationSurface."""
+    theta then alpha, evaluated in one batch.  Returns a CorrelationSurface."""
     from .surfaces import CorrelationSurface, SurfacePoint
 
-    points = []
-    for theta in thetas:
-        for alpha in alphas_deg:
-            s = replace(settings, theta=float(theta), alpha_deg=float(alpha))
-            points.append(
-                SurfacePoint(float(theta), float(alpha),
-                             category_probability(s, corroborative, group), None)
-            )
-    return CorrelationSurface(points)
+    _, conditional = _categories(settings, corroborative, group, thetas, alphas_deg)
+    values = conditional.tolist()
+    return CorrelationSurface([
+        SurfacePoint(float(theta), float(alpha), row[j], None)
+        for theta, row in zip(thetas, values)
+        for j, alpha in enumerate(alphas_deg)
+    ])
 
 
 def _other_group(group: str) -> str:
     return GROUP_B if group == GROUP_A else GROUP_A
 
 
-def _check_category(corroborative: str, group: str):
+def _category_index(corroborative: str, group: str) -> tuple[int, int]:
     if corroborative not in CORROBORATIVE_DETECTORS:
         raise ValueError(f"unknown corroborative detector {corroborative!r}")
     if group not in GROUPS:
         raise ValueError(f"unknown test group {group!r}")
+    return CORROBORATIVE_DETECTORS.index(corroborative), GROUPS.index(group)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +299,9 @@ def _wave_entries(theta: float):
 def reference_after_erasers(theta: float) -> TwoPhotonState:
     """State after the erasers: the corroborative H component rides with the
     open-interferometer (particle) amplitudes and the V component with the
-    closed-interferometer (wave) amplitudes."""
-    w = 1.0 / math.sqrt(2.0)
-    entries = []
-    for tm, a in _particle_entries(theta):
-        entries.append(((Mode("c", H), tm), w * a))
-    for tm, a in _wave_entries(theta):
-        entries.append(((Mode("c", V), tm), w * a))
-    return make_state(entries)
+    closed-interferometer (wave) amplitudes.  It is the rotator checkpoint
+    with the rotator at 0 degrees, which is the identity."""
+    return reference_after_rotator(theta, 0.0)
 
 
 def reference_after_rotator(theta: float, alpha_deg: float) -> TwoPhotonState:

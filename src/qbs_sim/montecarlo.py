@@ -21,7 +21,6 @@ from math import sqrt
 import numpy as np
 
 from . import experiment as qdc
-from .states import H, MixedState
 
 #: detector names, corroborative first
 DETECTORS = ("D_H", "D_V", "D_a", "D_a'", "D_b", "D_b'")
@@ -97,17 +96,8 @@ class Estimate:
 
 def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> np.ndarray:
     """Length-8 vector over (corroborative pol x terminal path) outcomes."""
-    state = qdc.build_qdc_state(settings)
-    if isinstance(state, MixedState):
-        components = state.components
-    else:
-        components = [(1.0, state)]
-    probs = np.zeros(8)
-    for w, s in components:
-        for (cm, tm), a in s.amplitudes.items():
-            ci = 0 if cm.pol == H else 1
-            ti = qdc.TERMINAL_PATHS.index(tm.path)
-            probs[ci * 4 + ti] += w * abs(a) ** 2
+    joint = qdc.joint_probabilities(settings, [settings.theta], [settings.alpha_deg])
+    probs = joint[0, 0].reshape(2, len(qdc.TERMINAL_PATHS), -1).sum(axis=-1).ravel()
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"joint outcome probabilities sum to {total}")

@@ -180,19 +180,21 @@ def test_criterion_6_bell_parameter():
     model = mc.DetectionModel(efficiency=0.25, dark_probability=1.3e-3, seed=20260826)
     per_point = 1_000_000 // (2 * len(THETAS_17))
 
-    def scan(basis, alpha, stream):
+    def scan(basis, alpha, basis_index):
+        # one RNG stream per scan point, so the points' errors are independent
         values, errs = [], []
-        for theta in THETAS_17:
+        for i, theta in enumerate(THETAS_17):
             s = qdc.ExperimentSettings(
                 theta=float(theta), alpha_deg=alpha, basis=basis
             )
+            stream = basis_index * len(THETAS_17) + i
             est = mc.estimate(mc.run(s, model, per_point, stream=stream))
             values.append(est.value)
             errs.append(max(est.stderr, 1e-6))
         return analysis.fit_visibility(THETAS_17, values, errs)
 
-    v_hv = scan(qdc.BASIS_HV, 90.0, stream=0)
-    v_da = scan(qdc.BASIS_DA, 45.0, stream=1)
+    v_hv = scan(qdc.BASIS_HV, 90.0, basis_index=0)
+    v_da = scan(qdc.BASIS_DA, 45.0, basis_index=1)
     s_mc, sigma_mc = analysis.bell_parameter(v_hv, v_da)
     nsig_quoted = (s_mc - 2.0) / 0.07
     elapsed = time.perf_counter() - t0

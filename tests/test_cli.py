@@ -117,12 +117,24 @@ class TestSweep:
                            "--shots", "14")
 
     def test_unwritable_dump_state_exits_1(self, capsys, tmp_path):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
             "--dump-state", str(tmp_path / "missing" / "state.json"),
         )
         assert code == 1
-        assert err.splitlines()[-1].startswith("error: cannot write")
+        assert out == ""  # fails before the payload is written
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,value", [("--efficiency", "2"), ("--dark", "nan")])
+    def test_analytic_sweep_checks_detection_flags(self, capsys, flag, value):
+        assert_usage_error(capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
+                           flag, value)
+
+    def test_dump_state_of_mixture_exits_1_before_any_output(self, capsys, tmp_path):
+        state_file = tmp_path / "state.json"
+        assert_usage_error(capsys, "sweep", "--input", qdc.INPUT_MIXTURE,
+                           "--dump-state", str(state_file))
+        assert not state_file.exists()
 
     def test_invalid_grid_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta", "nonsense")
@@ -249,6 +261,14 @@ class TestCausality:
         assert code == 0
         assert "fiber delay: 244.8 ns" in err
         assert json.loads(out)["spacelike"] is True
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--delta-x", "nan"), ("--delta-t", "inf"), ("--fiber-length", "nan"),
+        ("--refractive-index", "-inf"),
+    ])
+    def test_non_finite_input_exits_1(self, capsys, flag, value):
+        assert_usage_error(capsys, "causality", "--fiber-length", "50",
+                           f"{flag}={value}")
 
     def test_format_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,3 +194,87 @@ class TestDaEquivalenceForEntangledInput:
                     settings(theta=theta, alpha_deg=alpha + 45.0)
                 )
                 assert fidelity(da, offset) > 1 - 1e-10
+
+
+def reference_joint(s):
+    """(corroborative pol, terminal mode) probabilities from the sparse,
+    element-by-element reference path."""
+    state = qdc.build_qdc_state(s)
+    components = state.components if isinstance(state, MixedState) else [(1.0, state)]
+    out = np.zeros((2, len(qdc.TERMINAL_MODES)))
+    for w, comp in components:
+        for (cm, tm), a in comp.amplitudes.items():
+            out[(H, V).index(cm.pol), qdc.TERMINAL_MODES.index(tm)] += w * abs(a) ** 2
+    return out
+
+
+class TestCompiledEquivalence:
+    # alpha outside [0, 90] and theta beyond 2*pi (and below 0) on purpose
+    thetas = np.array([-1.0, 0.0, 2.1, math.pi, 6.5, 9.7])
+    alphas = np.array([-30.0, 0.0, 37.0, 90.0, 135.0])
+    cases = [(b, i) for b in (qdc.BASIS_HV, qdc.BASIS_DA)
+             for i in (qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE)]
+
+    @pytest.mark.parametrize("basis,input", cases)
+    def test_joint_grid_matches_reference(self, basis, input):
+        s = settings(basis=basis, input=input)
+        batched = qdc.joint_probabilities(s, self.thetas, self.alphas)
+        assert batched.shape == (len(self.thetas), len(self.alphas), 2, 8)
+        for i, theta in enumerate(self.thetas):
+            for j, alpha in enumerate(self.alphas):
+                ref = reference_joint(
+                    replace(s, theta=float(theta), alpha_deg=float(alpha))
+                )
+                assert np.abs(batched[i, j] - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("basis,input", cases)
+    def test_every_category_matches_reference(self, basis, input):
+        s = settings(basis=basis, input=input)
+        for corr in qdc.CORROBORATIVE_DETECTORS:
+            for grp in qdc.GROUPS:
+                surf = qdc.surface(s, self.thetas, self.alphas, corr, grp)
+                for p in surf.points:
+                    point = replace(s, theta=p.theta, alpha_deg=p.alpha_deg)
+                    ref = reference_joint(point)
+                    row = ref[qdc.CORROBORATIVE_DETECTORS.index(corr)]
+                    in_group = [m.path in qdc.GROUP_PATHS[grp]
+                                for m in qdc.TERMINAL_MODES]
+                    joint = row[in_group].sum()
+                    assert abs(p.value - joint / row.sum()) <= 1e-12
+                    assert abs(qdc.joint_probability(point, corr, grp)
+                               - joint) <= 1e-12
+
+    @pytest.mark.parametrize("n_theta,n_alpha", [(1, 1), (1, 5), (5, 1)])
+    def test_degenerate_grids(self, n_theta, n_alpha):
+        thetas, alphas = self.thetas[:n_theta], self.alphas[:n_alpha]
+        surf = qdc.surface(settings(), thetas, alphas)
+        assert [(p.theta, p.alpha_deg) for p in surf.points] == [
+            (float(t), float(a)) for t in thetas for a in alphas
+        ]
+        for p in surf.points:
+            assert abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg)) <= 1e-12
+
+    @pytest.mark.parametrize("basis", (qdc.BASIS_HV, qdc.BASIS_DA))
+    def test_compiled_amplitudes_match_element_chain(self, basis):
+        # U(theta) = A + exp(i theta) B, column by column, for both splitter
+        # phases; the flipped phase must not reuse the default's matrices
+        compiled = {}
+        for phase in (1j, -1j):
+            a, b = qdc._compiled_test_side(basis, phase)
+            for theta in (0.0, 1.1, 8.0):
+                s = settings(theta=theta, basis=basis, bs_reflection_phase=phase)
+                cols = el.circuit_columns(qdc.test_side_circuit(s), qdc.ENTRANCE_MODES)
+                u = a + np.exp(1j * theta) * b
+                for j, mode in enumerate(qdc.ENTRANCE_MODES):
+                    ref = [cols[mode].get(m, 0j) for m in qdc.TERMINAL_MODES]
+                    assert np.abs(u[:, j] - ref).max() <= 1e-12
+            compiled[phase] = a + np.exp(1.1j) * b
+        assert np.abs(compiled[1j] - compiled[-1j]).max() > 0.1
+
+    def test_grid_builds_no_elements_once_compiled(self, monkeypatch):
+        qdc.surface(settings(basis=qdc.BASIS_DA), self.thetas, self.alphas)
+        built = []
+        monkeypatch.setattr(el, "check_unitary", lambda e: built.append(e) or 0.0)
+        qdc.surface(settings(basis=qdc.BASIS_DA), np.linspace(0, 7, 41),
+                    np.linspace(0, 90, 17))
+        assert built == []
