@@ -44,6 +44,7 @@ from .montecarlo import (
     DetectionModel,
     estimate,
     run,
+    run_grid,
     sample_shot,
     window_probabilities,
 )

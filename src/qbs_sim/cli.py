@@ -61,15 +61,25 @@ def _settings(args, theta=0.0, alpha=0.0) -> qdc.ExperimentSettings:
 
 
 def _model(args) -> mc.DetectionModel:
+    """The detection model of a sampled run: flags left unset keep the
+    model's defaults, and a missing seed is drawn fresh."""
     seed = args.seed
-    if seed is None and args.shots is not None:  # an analytic run draws no seed
+    if seed is None:
         seed = np.random.SeedSequence().entropy % 2**63
+    given = {"efficiency": args.efficiency, "dark_probability": args.dark}
     try:
         return mc.DetectionModel(
-            efficiency=args.efficiency, dark_probability=args.dark, seed=int(seed or 0)
+            seed=seed, **{k: v for k, v in given.items() if v is not None}
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _report_windows(tables):
+    """One stderr line with the window counts summed over ``tables``."""
+    print("  ".join(f"{name}: {sum(getattr(t, name) for t in tables)}"
+                    for name in ("shots", "valid", "discarded_zero", "discarded_multi")),
+          file=sys.stderr)
 
 
 def _write_file(path: str, text: str):
@@ -90,21 +100,27 @@ def _write(args, text: str):
 def cmd_sweep(args) -> int:
     thetas = parse_grid(args.theta)
     alphas = parse_grid(args.alpha)
-    model = _model(args)  # checks the detection flags on both sweep paths
     if args.dump_state and args.input != qdc.INPUT_ENTANGLED:
         raise UsageError("--dump-state requires the entangled input")
     if args.shots is None:
+        unused = [f"--{name}" for name in ("seed", "efficiency", "dark")
+                  if getattr(args, name) is not None]
+        if unused:
+            raise UsageError(f"{', '.join(unused)} needs --shots; "
+                             "the analytic sweep has no detection model")
         surf = qdc.surface(_settings(args), thetas, alphas)
     else:
+        model = _model(args)
         n_points = len(thetas) * len(alphas)
         if args.shots < n_points:
             raise UsageError(f"--shots {args.shots} is below the {n_points} grid points")
         print(f"seed: {model.seed}", file=sys.stderr)
-        per_point = args.shots // n_points
-        points = [(float(t), float(a)) for t in thetas for a in alphas]
-        grid = [(t, a, mc.run(_settings(args, t, a), model, per_point, stream=i))
-                for i, (t, a) in enumerate(points)]
-        surf = analysis.surface_from_counts(grid)
+        tables = mc.run_grid(_settings(args), model, thetas, alphas, args.shots // n_points)
+        _report_windows(tables)
+        points = [(t, a) for t in thetas for a in alphas]
+        surf = analysis.surface_from_counts(
+            [(t, a, table) for (t, a), table in zip(points, tables)]
+        )
     if args.format == "json":
         import json
         payload = json.dumps(
@@ -122,20 +138,20 @@ def cmd_sweep(args) -> int:
 
 
 def _scan_visibility(args, model, basis, alpha, basis_index):
-    """Fit one phase scan; every point draws from its own RNG stream."""
+    """Fit one phase scan, drawn in one ``run_grid`` call in which every
+    point has its own RNG stream; returns the fit and the count tables."""
     thetas = np.linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
-    per_point = args.shots // (2 * BELL_SCAN_POINTS)
+    tables = mc.run_grid(qdc.ExperimentSettings(basis=basis, input=args.input), model,
+                         thetas, [alpha], args.shots // (2 * BELL_SCAN_POINTS),
+                         first_stream=basis_index * BELL_SCAN_POINTS)
     values, errs = [], []
-    for i, theta in enumerate(thetas):
-        s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha,
-                                   basis=basis, input=args.input)
-        stream = basis_index * BELL_SCAN_POINTS + i
-        est = mc.estimate(mc.run(s, model, per_point, stream=stream))
+    for theta, table in zip(thetas, tables):
+        est = mc.estimate(table)
         if not est.defined:
             raise analysis.FitError(f"no conditioned counts at theta={theta}")
         values.append(est.value)
         errs.append(max(est.stderr, 1e-6))
-    return analysis.fit_visibility(thetas, values, errs)
+    return analysis.fit_visibility(thetas, values, errs), tables
 
 
 def cmd_bell(args) -> int:
@@ -144,8 +160,9 @@ def cmd_bell(args) -> int:
                          f"{2 * BELL_SCAN_POINTS} scan points")
     model = _model(args)
     print(f"seed: {model.seed}", file=sys.stderr)
-    v_hv = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, basis_index=0)
-    v_da = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, basis_index=1)
+    v_hv, hv_tables = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, basis_index=0)
+    v_da, da_tables = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, basis_index=1)
+    _report_windows(hv_tables + da_tables)
     s, sigma = analysis.bell_parameter(v_hv, v_da)
     nsig = analysis.classical_bound_violation(s, sigma) if sigma > 0 else float("inf")
     _write(args,
@@ -237,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_model(sp):
         sp.add_argument("--shots", type=int, default=None)
+        # unset detection flags keep the DetectionModel defaults
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--efficiency", type=float, default=0.25)
-        sp.add_argument("--dark", type=float, default=4.8e-4)
+        sp.add_argument("--efficiency", type=float, default=None)
+        sp.add_argument("--dark", type=float, default=None)
         sp.add_argument("--input", choices=(qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE),
                         default=qdc.INPUT_ENTANGLED)
         sp.add_argument("--basis", choices=("hv", "da"), default="hv")

@@ -9,8 +9,10 @@ else is counted as a discard, mirroring hardware XOR gating.
 
 Those three draws are independent, so the probabilities of the 6 count cells
 have a closed form (``window_probabilities``), and a whole count table is a
-single multinomial draw from it.  ``sample_shot`` simulates one window click
-by click and is the reference the closed form is tested against.
+single multinomial draw from it.  ``run_grid`` evaluates those probabilities
+for a whole (theta, alpha) grid at once and draws each point from its own RNG
+stream.  ``sample_shot`` simulates one window click by click and is the
+reference the closed form is tested against.
 """
 from __future__ import annotations
 
@@ -51,6 +53,8 @@ class DetectionModel:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_probability <= 1.0:
             raise ValueError(f"dark probability {self.dark_probability} outside [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
 
 
 @dataclass
@@ -94,14 +98,23 @@ class Estimate:
     defined: bool = True
 
 
+def _joint_outcome_grid(settings: qdc.ExperimentSettings, thetas,
+                       alphas_deg) -> np.ndarray:
+    """Joint outcome probabilities on the whole (theta, alpha) grid, shape
+    ``(len(thetas), len(alphas_deg), 8)``, from one batched evaluation."""
+    joint = qdc.joint_probabilities(settings, thetas, alphas_deg)
+    probs = joint.reshape(*joint.shape[:2], 2, len(qdc.TERMINAL_PATHS), -1).sum(axis=-1)
+    probs = probs.reshape(*joint.shape[:2], -1)
+    total = probs.sum(axis=-1, keepdims=True)
+    off = total[np.abs(total - 1.0) > 1e-9]
+    if off.size:
+        raise RuntimeError(f"joint outcome probabilities sum to {off[0]}")
+    return probs / total
+
+
 def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> np.ndarray:
     """Length-8 vector over (corroborative pol x terminal path) outcomes."""
-    joint = qdc.joint_probabilities(settings, [settings.theta], [settings.alpha_deg])
-    probs = joint[0, 0].reshape(2, len(qdc.TERMINAL_PATHS), -1).sum(axis=-1).ravel()
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"joint outcome probabilities sum to {total}")
-    return probs / total
+    return _joint_outcome_grid(settings, [settings.theta], [settings.alpha_deg])[0, 0]
 
 
 def sample_shot(settings: qdc.ExperimentSettings, model: DetectionModel,
@@ -123,7 +136,16 @@ def sample_shot(settings: qdc.ExperimentSettings, model: DetectionModel,
 def window_probabilities(settings: qdc.ExperimentSettings,
                          model: DetectionModel) -> np.ndarray:
     """Exact probabilities of the 6 window cells: the 4 ``CATEGORIES`` in
-    order, then ``discarded_zero``, then ``discarded_multi``.
+    order, then ``discarded_zero``, then ``discarded_multi``."""
+    return window_probability_grid(settings, model, [settings.theta],
+                                   [settings.alpha_deg])[0, 0]
+
+
+def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionModel,
+                            thetas, alphas_deg) -> np.ndarray:
+    """``window_probabilities`` on the whole (theta, alpha) grid, shape
+    ``(len(thetas), len(alphas_deg), 6)``.  The grid replaces
+    ``settings.theta`` and ``settings.alpha_deg``.
 
     Given the joint outcome the two sides click independently.  A side's
     signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
@@ -138,37 +160,51 @@ def window_probabilities(settings: qdc.ExperimentSettings,
     corr = np.array([[corr_sig, corr_other], [corr_other, corr_sig]])
     # terminal path (row) -> the single test click lies in group A / B
     test = _IN_GROUP * test_sig + (_IN_GROUP.sum(axis=0) - _IN_GROUP) * test_other
-    joint = joint_outcome_probabilities(settings).reshape(2, 4)
-    valid = corr.T @ joint @ test
+    joint = _joint_outcome_grid(settings, thetas, alphas_deg)
+    grid = joint.shape[:2]
+    valid = (corr.T @ joint.reshape(*grid, 2, 4) @ test).reshape(*grid, 4)
     # a side with no click at all; its probability is the same for every outcome
     z_c = (1.0 - on) * (1.0 - d)
     z_t = (1.0 - on) * (1.0 - d) ** 3
     zero = z_c + z_t - z_c * z_t
-    multi = max(1.0 - valid.sum() - zero, 0.0)  # clamp rounding below 0
-    return np.concatenate([valid.ravel(), [zero, multi]])
+    multi = np.maximum(1.0 - valid.sum(axis=-1) - zero, 0.0)  # clamp rounding below 0
+    return np.concatenate([valid, np.full((*grid, 1), zero), multi[..., None]], axis=-1)
 
 
 def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
         stream: int = 0) -> CountTable:
-    """Draw a CountTable over ``n_shots`` windows in one multinomial.
+    """Draw a CountTable over ``n_shots`` windows at the point of ``settings``
+    from RNG stream ``stream`` (see ``run_grid``)."""
+    return run_grid(settings, model, [settings.theta], [settings.alpha_deg],
+                    n_shots, first_stream=stream)[0]
 
-    The generator is derived from (seed, stream), so repeated calls give the
-    same table; distinct ``stream`` values give independent draws under the
-    same seed (used for multi-scan commands).
+
+def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
+             alphas_deg, shots_per_point: int, first_stream: int = 0) -> list[CountTable]:
+    """One CountTable per (theta, alpha) grid point, row-major, each drawn in
+    one multinomial from the grid's window probabilities.
+
+    Point ``i`` draws from its own generator, derived from (seed,
+    ``first_stream + i``), so repeated calls give the same tables and a point
+    gets the same table as a ``run`` at that point with that stream.
     """
-    if n_shots <= 0:
-        raise ValueError("n_shots must be positive")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=model.seed, spawn_key=(stream,))
-    )
-    cells = rng.multinomial(n_shots, window_probabilities(settings, model))
-    return CountTable(
-        counts={c: int(n) for c, n in zip(CATEGORIES, cells[:4])},
-        valid=int(cells[:4].sum()),
-        discarded_zero=int(cells[4]),
-        discarded_multi=int(cells[5]),
-        shots=n_shots,
-    )
+    if shots_per_point <= 0:
+        raise ValueError("shots per point must be positive")
+    cells = window_probability_grid(settings, model, thetas, alphas_deg).reshape(-1, 6)
+    tables = []
+    for i, p in enumerate(cells):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=model.seed, spawn_key=(first_stream + i,))
+        )
+        n = rng.multinomial(shots_per_point, p)
+        tables.append(CountTable(
+            counts={c: int(k) for c, k in zip(CATEGORIES, n[:4])},
+            valid=int(n[:4].sum()),
+            discarded_zero=int(n[4]),
+            discarded_multi=int(n[5]),
+            shots=shots_per_point,
+        ))
+    return tables
 
 
 def estimate(table: CountTable, corroborative: str = "D_H",

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from qbs_sim import cli
+from qbs_sim import analysis, cli
 from qbs_sim import experiment as qdc
+from qbs_sim import montecarlo as mc
 from qbs_sim.states import load_state, fidelity
 
 
@@ -21,6 +22,22 @@ def assert_usage_error(capsys, *argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+WINDOW_FIELDS = ("shots", "valid", "discarded_zero", "discarded_multi")
+
+
+def window_counts(err):
+    """The summed window counts a sampled command prints to stderr."""
+    line = next(l for l in err.splitlines() if l.startswith("shots: "))
+    words = line.split()
+    assert [w.rstrip(":") for w in words[::2]] == list(WINDOW_FIELDS)
+    return {w.rstrip(":"): int(n) for w, n in zip(words[::2], words[1::2])}
+
+
+def summed(tables):
+    return {name: sum(getattr(t, name) for t in tables) for name in WINDOW_FIELDS}
 
 
 class TestParseGrid:
@@ -130,6 +147,33 @@ class TestSweep:
         assert_usage_error(capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
                            flag, value)
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seed", "3"), ("--efficiency", "0.5"), ("--dark", "0.01"),
+    ])
+    def test_analytic_sweep_rejects_valid_detection_flags(self, capsys, flag, value):
+        err = assert_usage_error(capsys, "sweep", "--theta", "0:1:2", "--alpha", "0:90:2",
+                                 flag, value)
+        assert f"{flag} needs --shots" in err
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert_usage_error(capsys, "sweep", "--shots", "1000", "--seed", "-5",
+                           "--theta", "0:1:2", "--alpha", "0:90:2")
+
+    def test_sampled_sweep_reports_window_counts(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--theta", "0:1:3", "--alpha", "0:90:2",
+            "--shots", "6000", "--seed", "5",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "theta_rad,alpha_deg,estimate,stderr" and len(lines) == 7
+        tables = mc.run_grid(qdc.ExperimentSettings(), mc.DetectionModel(seed=5),
+                             cli.parse_grid("0:1:3"), cli.parse_grid("0:90:2"), 1000)
+        counts = window_counts(err)
+        assert counts == summed(tables)
+        assert counts["shots"] == 6000
+        assert counts["valid"] + counts["discarded_zero"] + counts["discarded_multi"] == 6000
+
     def test_dump_state_of_mixture_exits_1_before_any_output(self, capsys, tmp_path):
         state_file = tmp_path / "state.json"
         assert_usage_error(capsys, "sweep", "--input", qdc.INPUT_MIXTURE,
@@ -235,6 +279,94 @@ class TestBell:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bell", "--format", "csv"])
         assert exc.value.code == 2
+
+    def test_negative_seed_exits_1(self, capsys):
+        assert_usage_error(capsys, "bell", "--shots", "1000", "--seed", "-3")
+
+    def test_reports_window_counts(self, capsys):
+        code, out, err = run_cli(capsys, "bell", "--shots", "60000", "--seed", "11")
+        assert code == 0
+        assert [l.split()[0] for l in out.splitlines()] == ["V_HV", "V_DA", "S"]
+        counts = window_counts(err)
+        per_point = 60000 // (2 * cli.BELL_SCAN_POINTS)
+        assert counts["shots"] == per_point * 2 * cli.BELL_SCAN_POINTS
+        assert counts["valid"] + counts["discarded_zero"] + counts["discarded_multi"] \
+            == counts["shots"]
+        thetas = np.linspace(0.0, 2.0 * math.pi, cli.BELL_SCAN_POINTS)
+        model = mc.DetectionModel(seed=11)
+        tables = [
+            table
+            for i, (basis, alpha) in enumerate(((qdc.BASIS_HV, 90.0), (qdc.BASIS_DA, 45.0)))
+            for table in mc.run_grid(qdc.ExperimentSettings(basis=basis), model, thetas,
+                                     [alpha], per_point, first_stream=i * cli.BELL_SCAN_POINTS)
+        ]
+        assert counts == summed(tables)
+
+
+class TestSampledGrid:
+    """The batched sampled commands against a point-by-point rebuild from
+    ``mc.run``, one RNG stream per point."""
+
+    def test_sweep_matches_point_by_point_runs(self, capsys):
+        thetas, alphas = cli.parse_grid("0:6.28:4"), cli.parse_grid("10:80:3")
+        code, out, _ = run_cli(
+            capsys, "sweep", "--theta", "0:6.28:4", "--alpha", "10:80:3",
+            "--shots", "12000", "--seed", "13", "--input", qdc.INPUT_MIXTURE,
+            "--basis", "da", "--efficiency", "0.5", "--dark", "0.01",
+        )
+        assert code == 0
+        model = mc.DetectionModel(efficiency=0.5, dark_probability=0.01, seed=13)
+        points = [(float(t), float(a)) for t in thetas for a in alphas]
+        grid = [
+            (t, a, mc.run(qdc.ExperimentSettings(theta=t, alpha_deg=a, basis=qdc.BASIS_DA,
+                                                 input=qdc.INPUT_MIXTURE),
+                          model, 1000, stream=i))
+            for i, (t, a) in enumerate(points)
+        ]
+        assert out == analysis.surface_from_counts(grid).to_csv()
+
+    def test_bell_matches_point_by_point_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "bell", "--shots", "100000", "--seed", "17",
+                               "--dark", "1.3e-3")
+        assert code == 0
+        model = mc.DetectionModel(dark_probability=1.3e-3, seed=17)
+        per_point = 100000 // (2 * cli.BELL_SCAN_POINTS)
+        thetas = np.linspace(0.0, 2.0 * math.pi, cli.BELL_SCAN_POINTS)
+
+        def scan(basis, alpha, basis_index):
+            values, errs = [], []
+            for i, theta in enumerate(thetas):
+                s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha, basis=basis)
+                est = mc.estimate(mc.run(s, model, per_point,
+                                         stream=basis_index * cli.BELL_SCAN_POINTS + i))
+                values.append(est.value)
+                errs.append(max(est.stderr, 1e-6))
+            return analysis.fit_visibility(thetas, values, errs)
+
+        v_hv, v_da = scan(qdc.BASIS_HV, 90.0, 0), scan(qdc.BASIS_DA, 45.0, 1)
+        s, sigma = analysis.bell_parameter(v_hv, v_da)
+        nsig = analysis.classical_bound_violation(s, sigma)
+        assert out == (f"V_HV = {v_hv.value:.4f} +/- {v_hv.uncertainty:.4f}\n"
+                       f"V_DA = {v_da.value:.4f} +/- {v_da.uncertainty:.4f}\n"
+                       f"S = {s:.4f} +/- {sigma:.4f}  ({nsig:.1f} sigma above 2)\n")
+
+    @pytest.mark.parametrize("argv,scans", [
+        (["sweep", "--theta", "0:1:4", "--alpha", "0:90:3", "--shots", "12000",
+          "--seed", "2", "--efficiency", "1"], 1),
+        (["bell", "--shots", "34000", "--seed", "2", "--efficiency", "1"], 2),
+    ])
+    def test_grid_evaluated_once_per_scan(self, capsys, monkeypatch, argv, scans):
+        calls = []
+        joint = qdc.joint_probabilities
+
+        def counted(*args):
+            calls.append(args)
+            return joint(*args)
+
+        monkeypatch.setattr(qdc, "joint_probabilities", counted)
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(calls) == scans
 
 
 class TestCausality:

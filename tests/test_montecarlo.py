@@ -36,6 +36,10 @@ class TestModel:
         with pytest.raises(ValueError):
             mc.DetectionModel(dark_probability=-0.1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            mc.DetectionModel(seed=-5)
+
 
 class TestSampleShot:
     def test_ideal_shot_has_one_click_per_side(self):
@@ -236,6 +240,39 @@ class TestRun:
             f = table.counts[c] / table.valid
             sigma = math.sqrt(0.25 * 0.75 / table.valid)
             assert abs(f - 0.25) < 4 * sigma
+
+
+class TestGrid:
+    """The grid functions against the one-point functions they replace."""
+    THETAS = np.linspace(-1.0, 9.7, 6)
+    ALPHAS = np.linspace(-30.0, 135.0, 5)
+
+    @pytest.mark.parametrize("eta,dark", [(0.25, 1.3e-3), (1.0, 0.0), (0.0, 0.0),
+                                          (0.3, 1.0)])
+    @pytest.mark.parametrize("basis", [qdc.BASIS_HV, qdc.BASIS_DA])
+    @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
+    def test_window_grid_matches_each_point(self, eta, dark, basis, inp):
+        model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
+        grid = mc.window_probability_grid(settings(basis=basis, input=inp), model,
+                                          self.THETAS, self.ALPHAS)
+        assert grid.shape == (len(self.THETAS), len(self.ALPHAS), 6)
+        for i, theta in enumerate(self.THETAS):
+            for j, alpha in enumerate(self.ALPHAS):
+                point = mc.window_probabilities(
+                    settings(theta=float(theta), alpha_deg=float(alpha), basis=basis,
+                             input=inp), model)
+                np.testing.assert_allclose(grid[i, j], point, rtol=0, atol=1e-15)
+
+    def test_run_grid_rows_equal_runs_on_their_streams(self):
+        model = mc.DetectionModel(efficiency=0.4, dark_probability=2e-3, seed=314)
+        base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
+        tables = mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, first_stream=17)
+        points = [(t, a) for t in self.THETAS for a in self.ALPHAS]
+        assert len(tables) == len(points)
+        for i, ((theta, alpha), table) in enumerate(zip(points, tables)):
+            s = settings(theta=float(theta), alpha_deg=float(alpha), basis=base.basis,
+                         input=base.input)
+            assert table.to_json() == mc.run(s, model, 5000, stream=17 + i).to_json()
 
 
 class TestEstimate:
