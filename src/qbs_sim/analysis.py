@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .montecarlo import CountTable, estimate
 from .surfaces import CorrelationSurface, SurfacePoint
 
@@ -47,6 +45,8 @@ def fit_visibility(
     on noiseless data the uncertainty comes from the residual scatter and is
     essentially zero.
     """
+    import numpy as np
+
     th = np.asarray(thetas, dtype=float)
     y = np.asarray(values, dtype=float)
     if th.size < 8:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-
-import numpy as np
+from functools import lru_cache
 
 from . import analysis, experiment as qdc, montecarlo as mc
 from . import elements as el
@@ -36,7 +35,19 @@ class UsageError(ValueError):
     pass
 
 
-def parse_grid(spec: str) -> np.ndarray:
+def linspace(start: float, stop: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced points from ``start`` to ``stop`` inclusive,
+    computed as ``numpy.linspace`` does (``i * step + start``, the last point
+    set to ``stop``), so the grids are bit-identical to it."""
+    if steps == 1:
+        return [start]
+    step = (stop - start) / (steps - 1)
+    points = [i * step + start for i in range(steps)]
+    points[-1] = stop
+    return points
+
+
+def parse_grid(spec: str) -> list[float]:
     try:
         start, stop, steps = spec.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
@@ -46,11 +57,9 @@ def parse_grid(spec: str) -> np.ndarray:
         raise UsageError(f"grid spec {spec!r} has a non-finite endpoint")
     if steps < 1:
         raise UsageError(f"grid needs at least 1 step, got {steps}")
-    if steps == 1:
-        if start != stop:
-            raise UsageError("single-step grid requires start == stop")
-        return np.array([start])
-    return np.linspace(start, stop, steps)
+    if steps == 1 and start != stop:
+        raise UsageError("single-step grid requires start == stop")
+    return linspace(start, stop, steps)
 
 
 def _settings(args, theta=0.0, alpha=0.0) -> qdc.ExperimentSettings:
@@ -65,6 +74,8 @@ def _model(args) -> mc.DetectionModel:
     model's defaults, and a missing seed is drawn fresh."""
     seed = args.seed
     if seed is None:
+        import numpy as np
+
         seed = np.random.SeedSequence().entropy % 2**63
     given = {"efficiency": args.efficiency, "dark_probability": args.dark}
     try:
@@ -129,7 +140,7 @@ def cmd_sweep(args) -> int:
     else:
         payload = surf.to_csv()
     if args.dump_state:  # first, so a bad path fails before the payload is out
-        state = qdc.build_qdc_state(_settings(args, float(thetas[0]), float(alphas[0])))
+        state = qdc.build_qdc_state(_settings(args, thetas[0], alphas[0]))
         _write_file(args.dump_state, dump_state(state))
     _write(args, payload)
     print(f"points: {len(surf.points)}  min: {surf.min_value():.6f}  "
@@ -140,7 +151,7 @@ def cmd_sweep(args) -> int:
 def _scan_visibility(args, model, basis, alpha, basis_index):
     """Fit one phase scan, drawn in one ``run_grid`` call in which every
     point has its own RNG stream; returns the fit and the count tables."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
+    thetas = linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
     tables = mc.run_grid(qdc.ExperimentSettings(basis=basis, input=args.input), model,
                          thetas, [alpha], args.shots // (2 * BELL_SCAN_POINTS),
                          first_stream=basis_index * BELL_SCAN_POINTS)
@@ -200,11 +211,13 @@ def cmd_verify(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}: max deviation {deviation:.3e} "
               f"(tolerance {tol:.0e})")
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, max(args.grid, 2))
+    if args.grid < 2:
+        raise UsageError(f"--grid must be at least 2, got {args.grid}")
+    thetas = linspace(0.0, 2.0 * math.pi, args.grid)
     # checkpoint fidelities along the apparatus
     dev_pdbs = dev_erasers = dev_rot = 0.0
     for theta in thetas:
-        s = qdc.ExperimentSettings(theta=float(theta), bs_reflection_phase=phase)
+        s = qdc.ExperimentSettings(theta=theta, bs_reflection_phase=phase)
         chain = qdc.test_side_circuit(s)
         pre = el.apply_all(chain[:3], qdc.bell_state())
         dev_pdbs = max(dev_pdbs, 1.0 - fidelity(pre, qdc.reference_after_pdbs(theta)))
@@ -234,7 +247,7 @@ def cmd_verify(args) -> int:
 
     # closed-form oracle over a coarse grid
     surf = qdc.surface(qdc.ExperimentSettings(bs_reflection_phase=phase), thetas,
-                       np.linspace(0.0, 90.0, max(args.grid // 2, 2)))
+                       linspace(0.0, 90.0, max(args.grid // 2, 2)))
     dev_oracle = max(abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg))
                      for p in surf.points)
     report("closed-form correlation oracle", dev_oracle, 1e-10)
@@ -242,7 +255,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="qbs-sim",
         description="Two-photon quantum-beam-splitter interferometer simulator",

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import elements as el
 from .states import (H, V, POLARIZATIONS, Mode, MixedState, TwoPhotonState,
                      make_state, mix)
@@ -51,10 +49,6 @@ PATH_DETECTORS = {p: d for d, p in DETECTOR_PATHS.items()}
 ENTRANCE_MODES = (Mode("a", H), Mode("a", V))
 ARM_MODES = (Mode("a", H), Mode("a", V), Mode("b", H), Mode("b", V))
 TERMINAL_MODES = tuple(Mode(p, pol) for p in TERMINAL_PATHS for pol in POLARIZATIONS)
-#: 1 where a terminal mode (row) belongs to an XOR group (column)
-_MODE_IN_GROUP = np.array(
-    [[m.path in GROUP_PATHS[g] for g in GROUPS] for m in TERMINAL_MODES], dtype=float
-)
 
 
 @dataclass(frozen=True)
@@ -127,69 +121,109 @@ def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState
     return mix([(w, el.apply_all(chain, s)) for w, s in mixture_state().components])
 
 
-def _matrix(columns, inputs, outputs) -> np.ndarray:
-    """Dense (outputs x inputs) form of sparse element columns."""
-    return np.array([[columns[i].get(o, 0j) for i in inputs] for o in outputs])
-
-
-@lru_cache(maxsize=None)
 def _compiled_test_side(basis: str, bs_reflection_phase: complex
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        ) -> tuple[tuple[tuple[complex, ...], ...], ...]:
     """The test side as ``U(theta) = A + exp(i theta) B``: two 8x2 maps from
-    ``ENTRANCE_MODES`` to ``TERMINAL_MODES``, ``A`` through arm ``a`` and
-    ``B`` through the phase plate on arm ``b``.  Built once per key from the
-    unitarity-checked elements."""
+    ``ENTRANCE_MODES`` to ``TERMINAL_MODES``, as tuples of rows, ``A``
+    through arm ``a`` and ``B`` through the phase plate on arm ``b``.
+    Composed from the unitarity-checked elements."""
     before, after = _test_side_halves(basis, bs_reflection_phase)
-    pre = _matrix(el.circuit_columns(before, ENTRANCE_MODES), ENTRANCE_MODES, ARM_MODES)
-    post = _matrix(el.circuit_columns(after, ARM_MODES), ARM_MODES, TERMINAL_MODES)
-    a, b = post[:, :2] @ pre[:2], post[:, 2:] @ pre[2:]
-    a.flags.writeable = b.flags.writeable = False  # cached, shared by all callers
-    return a, b
+    pre = el.circuit_columns(before, ENTRANCE_MODES)
+    post = el.circuit_columns(after, ARM_MODES)
+
+    def through(arm: str):
+        return tuple(
+            tuple(sum(pre[j].get(k, 0j) * post[k].get(m, 0j)
+                      for k in ARM_MODES if k.path == arm) for j in ENTRANCE_MODES)
+            for m in TERMINAL_MODES
+        )
+
+    return through("a"), through("b")
 
 
 @lru_cache(maxsize=None)
-def _input_amplitudes(input: str) -> np.ndarray:
-    """The input as (component, corroborative pol, entrance mode) amplitudes,
-    each component scaled by the square root of its mixture weight."""
+def _compiled(basis: str, input: str, bs_reflection_phase: complex
+              ) -> tuple[tuple[int, complex, complex, complex, complex], ...]:
+    """The input carried through the test side, built once per key: one term
+    ``(path index, A_H, B_H, A_V, B_V)`` per mixture component and terminal
+    mode, where ``u = A_H + exp(i theta) B_H`` is the mode's amplitude with
+    the corroborative photon H and ``w = A_V + exp(i theta) B_V`` with it V,
+    before the rotator.  Each component is scaled by the square root of its
+    mixture weight; terms with no amplitude are dropped."""
+    a, b = _compiled_test_side(basis, bs_reflection_phase)
     components = ([(1.0, bell_state())] if input == INPUT_ENTANGLED
                   else mixture_state().components)
-    amps = np.array([
-        [[math.sqrt(w) * s.amplitudes.get((Mode("c", cp), tm), 0j)
-          for tm in ENTRANCE_MODES] for cp in POLARIZATIONS]
-        for w, s in components
-    ])
-    amps.flags.writeable = False
-    return amps
+    terms = []
+    for weight, state in components:
+        entrance = [[math.sqrt(weight) * state.amplitudes.get((Mode("c", cp), tm), 0j)
+                     for tm in ENTRANCE_MODES] for cp in POLARIZATIONS]
+        for i, mode in enumerate(TERMINAL_MODES):
+            pair = [sum(row[i][j] * x for j, x in enumerate(amps))
+                    for amps in entrance for row in (a, b)]
+            if any(pair):
+                terms.append((TERMINAL_PATHS.index(mode.path), *pair))
+    return tuple(terms)
 
 
-def _rotations(alphas_deg) -> np.ndarray:
-    """(Al, 2, 2) matrices of the corroborative rotator on (H, V)."""
-    a = np.radians(np.asarray(alphas_deg, dtype=float))
-    c, s = np.cos(a), np.sin(a)
-    return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+def _path_forms(terms, theta: float) -> list[list[float]]:
+    """``[U_p, W_p, X_p]`` for each terminal path p in ``TERMINAL_PATHS``
+    order at phase ``theta``: the sums of |u|^2, |w|^2 and Re(u conj(w)) over
+    the path's polarizations and the mixture components."""
+    e = cmath.exp(1j * theta)
+    forms = [[0.0, 0.0, 0.0] for _ in TERMINAL_PATHS]
+    for p, a_h, b_h, a_v, b_v in terms:
+        u, w = a_h + e * b_h, a_v + e * b_v
+        form = forms[p]
+        form[0] += u.real * u.real + u.imag * u.imag
+        form[1] += w.real * w.real + w.imag * w.imag
+        form[2] += u.real * w.real + u.imag * w.imag
+    return forms
 
 
-def joint_probabilities(settings: ExperimentSettings, thetas, alphas_deg) -> np.ndarray:
-    """Probabilities of (corroborative polarization, terminal test mode in
-    ``TERMINAL_MODES`` order) on the whole grid, shape ``(len(thetas),
-    len(alphas_deg), 2, 8)``.  The grid replaces ``settings.theta`` and
+def _rotator_weights(alpha_deg: float) -> tuple[tuple[float, float, float], ...]:
+    """Weights of ``(U_p, W_p, X_p)`` in P(H, p) and in P(V, p) behind the
+    rotator: ``P(H, p) = c^2 U_p - 2cs X_p + s^2 W_p`` and ``P(V, p) = s^2 U_p
+    + 2cs X_p + c^2 W_p`` with c = cos(alpha), s = sin(alpha)."""
+    a = math.radians(alpha_deg)
+    c, s = math.cos(a), math.sin(a)
+    cc, ss, cs2 = c * c, s * s, 2.0 * c * s
+    return (cc, ss, -cs2), (ss, cc, cs2)
+
+
+def joint_probabilities(settings: ExperimentSettings, thetas, alphas_deg) -> list:
+    """Probabilities of (corroborative polarization, terminal path in
+    ``TERMINAL_PATHS`` order) on the whole grid, as nested lists indexed
+    ``[theta][alpha][pol][path]``.  The grid replaces ``settings.theta`` and
     ``settings.alpha_deg``."""
-    a, b = _compiled_test_side(settings.basis, settings.bs_reflection_phase)
-    u = a + np.exp(1j * np.asarray(thetas, dtype=float))[:, None, None] * b
-    amp = np.einsum("tmj,kcj->ktcm", u, _input_amplitudes(settings.input))
-    rotated = np.einsum("lcd,ktdm->ktlcm", _rotations(alphas_deg), amp)
-    return (np.abs(rotated) ** 2).sum(axis=0)
+    terms = _compiled(settings.basis, settings.input, settings.bs_reflection_phase)
+    weights = [_rotator_weights(a) for a in alphas_deg]
+    grid = []
+    for theta in thetas:
+        forms = _path_forms(terms, theta)
+        grid.append([[[ku * u + kw * w + kx * x for u, w, x in forms]
+                      for ku, kw, kx in pol_weights] for pol_weights in weights])
+    return grid
 
 
 def _categories(settings: ExperimentSettings, corroborative: str, group: str,
-                thetas=None, alphas_deg=None) -> tuple[np.ndarray, np.ndarray]:
-    """Joint and conditional probability of one category on the grid (by
-    default the single point of ``settings``)."""
-    ci, gi = _category_index(corroborative, group)
-    thetas = [settings.theta] if thetas is None else thetas
-    alphas_deg = [settings.alpha_deg] if alphas_deg is None else alphas_deg
-    row = joint_probabilities(settings, thetas, alphas_deg)[..., ci, :] @ _MODE_IN_GROUP
-    return row[..., gi], row[..., gi] / row.sum(axis=-1)
+                thetas, alphas_deg) -> list[tuple[float, float]]:
+    """Joint and conditional probability of one category at each grid point,
+    row-major in theta then alpha.  The paths are summed into the group and
+    into the corroborative marginal before the alpha loop, so each point
+    costs one division."""
+    ci, _ = _category_index(corroborative, group)
+    terms = _compiled(settings.basis, settings.input, settings.bs_reflection_phase)
+    weights = [_rotator_weights(a)[ci] for a in alphas_deg]
+    members = [i for i, p in enumerate(TERMINAL_PATHS) if p in GROUP_PATHS[group]]
+    out = []
+    for theta in thetas:
+        forms = _path_forms(terms, theta)
+        g = [sum(forms[i][k] for i in members) for k in range(3)]
+        t = [sum(form[k] for form in forms) for k in range(3)]
+        for ku, kw, kx in weights:
+            joint = ku * g[0] + kw * g[1] + kx * g[2]
+            out.append((joint, joint / (ku * t[0] + kw * t[1] + kx * t[2])))
+    return out
 
 
 def joint_probability(
@@ -198,8 +232,8 @@ def joint_probability(
     """Probability of the two-fold coincidence (corroborative detector,
     XOR test group).  The four categories partition all coincidences and
     sum to 1."""
-    joint, _ = _categories(settings, corroborative, group)
-    return float(joint[0, 0])
+    return _categories(settings, corroborative, group,
+                       [settings.theta], [settings.alpha_deg])[0][0]
 
 
 def category_probability(
@@ -208,8 +242,8 @@ def category_probability(
     """Coincidence probability normalized per corroborative click,
     P(group | corroborative detector).  This is the quantity the intensity
     correlation I(theta, alpha) refers to."""
-    _, conditional = _categories(settings, corroborative, group)
-    return float(conditional[0, 0])
+    return _categories(settings, corroborative, group,
+                       [settings.theta], [settings.alpha_deg])[0][1]
 
 
 def complementary_probability(
@@ -230,15 +264,14 @@ def closed_form_ia(theta: float, alpha_deg: float) -> float:
 def surface(settings: ExperimentSettings, thetas, alphas_deg,
             corroborative: str = "D_H", group: str = GROUP_A):
     """Analytic correlation surface on the (theta, alpha) grid, row-major in
-    theta then alpha, evaluated in one batch.  Returns a CorrelationSurface."""
+    theta then alpha.  Returns a CorrelationSurface."""
     from .surfaces import CorrelationSurface, SurfacePoint
 
-    _, conditional = _categories(settings, corroborative, group, thetas, alphas_deg)
-    values = conditional.tolist()
+    points = [(float(theta), float(alpha)) for theta in thetas for alpha in alphas_deg]
+    values = _categories(settings, corroborative, group, thetas, alphas_deg)
     return CorrelationSurface([
-        SurfacePoint(float(theta), float(alpha), row[j], None)
-        for theta, row in zip(thetas, values)
-        for j, alpha in enumerate(alphas_deg)
+        SurfacePoint(theta, alpha, conditional, None)
+        for (theta, alpha), (_, conditional) in zip(points, values)
     ])
 
 

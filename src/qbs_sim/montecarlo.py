@@ -19,10 +19,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import sqrt
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING
 
 from . import experiment as qdc
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: detector names, corroborative first
 DETECTORS = ("D_H", "D_V", "D_a", "D_a'", "D_b", "D_b'")
@@ -30,12 +33,6 @@ DETECTORS = ("D_H", "D_V", "D_a", "D_a'", "D_b", "D_b'")
 _PATH_TO_DET = tuple(
     DETECTORS.index(qdc.PATH_DETECTORS[p]) for p in qdc.TERMINAL_PATHS
 )
-#: 1 where a terminal path (row) belongs to a group (column)
-_IN_GROUP = np.array(
-    [[p in qdc.GROUP_PATHS[g] for g in qdc.GROUPS] for p in qdc.TERMINAL_PATHS],
-    dtype=float,
-)
-
 CATEGORIES = tuple(
     (corr, grp) for corr in qdc.CORROBORATIVE_DETECTORS for grp in qdc.GROUPS
 )
@@ -99,22 +96,25 @@ class Estimate:
 
 
 def _joint_outcome_grid(settings: qdc.ExperimentSettings, thetas,
-                       alphas_deg) -> np.ndarray:
-    """Joint outcome probabilities on the whole (theta, alpha) grid, shape
-    ``(len(thetas), len(alphas_deg), 8)``, from one batched evaluation."""
-    joint = qdc.joint_probabilities(settings, thetas, alphas_deg)
-    probs = joint.reshape(*joint.shape[:2], 2, len(qdc.TERMINAL_PATHS), -1).sum(axis=-1)
-    probs = probs.reshape(*joint.shape[:2], -1)
-    total = probs.sum(axis=-1, keepdims=True)
-    off = total[np.abs(total - 1.0) > 1e-9]
-    if off.size:
-        raise RuntimeError(f"joint outcome probabilities sum to {off[0]}")
-    return probs / total
+                       alphas_deg) -> list[list[list[float]]]:
+    """Joint outcome probabilities on the whole (theta, alpha) grid, nested
+    ``[theta][alpha][outcome]``, from one batched evaluation."""
+    grid = []
+    for row in qdc.joint_probabilities(settings, thetas, alphas_deg):
+        out = []
+        for h, v in row:
+            probs = h + v
+            total = sum(probs)
+            if abs(total - 1.0) > 1e-9:
+                raise RuntimeError(f"joint outcome probabilities sum to {total}")
+            out.append([p / total for p in probs])
+        grid.append(out)
+    return grid
 
 
-def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> np.ndarray:
-    """Length-8 vector over (corroborative pol x terminal path) outcomes."""
-    return _joint_outcome_grid(settings, [settings.theta], [settings.alpha_deg])[0, 0]
+def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]:
+    """Length-8 list over (corroborative pol x terminal path) outcomes."""
+    return _joint_outcome_grid(settings, [settings.theta], [settings.alpha_deg])[0][0]
 
 
 def sample_shot(settings: qdc.ExperimentSettings, model: DetectionModel,
@@ -134,18 +134,18 @@ def sample_shot(settings: qdc.ExperimentSettings, model: DetectionModel,
 
 
 def window_probabilities(settings: qdc.ExperimentSettings,
-                         model: DetectionModel) -> np.ndarray:
+                         model: DetectionModel) -> list[float]:
     """Exact probabilities of the 6 window cells: the 4 ``CATEGORIES`` in
     order, then ``discarded_zero``, then ``discarded_multi``."""
     return window_probability_grid(settings, model, [settings.theta],
-                                   [settings.alpha_deg])[0, 0]
+                                   [settings.alpha_deg])[0][0]
 
 
 def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionModel,
-                            thetas, alphas_deg) -> np.ndarray:
-    """``window_probabilities`` on the whole (theta, alpha) grid, shape
-    ``(len(thetas), len(alphas_deg), 6)``.  The grid replaces
-    ``settings.theta`` and ``settings.alpha_deg``.
+                            thetas, alphas_deg) -> list[list[list[float]]]:
+    """``window_probabilities`` on the whole (theta, alpha) grid, nested
+    ``[theta][alpha][cell]``.  The grid replaces ``settings.theta`` and
+    ``settings.alpha_deg``.
 
     Given the joint outcome the two sides click independently.  A side's
     signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
@@ -157,18 +157,28 @@ def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionMo
     corr_sig, corr_other = on * (1.0 - d), (1.0 - on) * d
     test_sig, test_other = on * (1.0 - d) ** 3, (1.0 - on) * d * (1.0 - d) ** 2
     # corroborative signal (row) -> the single click is D_H / D_V (column)
-    corr = np.array([[corr_sig, corr_other], [corr_other, corr_sig]])
-    # terminal path (row) -> the single test click lies in group A / B
-    test = _IN_GROUP * test_sig + (_IN_GROUP.sum(axis=0) - _IN_GROUP) * test_other
-    joint = _joint_outcome_grid(settings, thetas, alphas_deg)
-    grid = joint.shape[:2]
-    valid = (corr.T @ joint.reshape(*grid, 2, 4) @ test).reshape(*grid, 4)
+    corr = ((corr_sig, corr_other), (corr_other, corr_sig))
+    # per category (corroborative click k, test group): the weight of each
+    # joint outcome (corroborative signal c, terminal path p), where the single
+    # test click lies in the group with the signal on p or with a dark count
+    categories = [
+        [corr[c][k] * (test_sig * (p in paths) + (len(paths) - (p in paths)) * test_other)
+         for c in range(2) for p in qdc.TERMINAL_PATHS]
+        for k in range(2) for paths in (qdc.GROUP_PATHS[g] for g in qdc.GROUPS)
+    ]
     # a side with no click at all; its probability is the same for every outcome
     z_c = (1.0 - on) * (1.0 - d)
     z_t = (1.0 - on) * (1.0 - d) ** 3
     zero = z_c + z_t - z_c * z_t
-    multi = np.maximum(1.0 - valid.sum(axis=-1) - zero, 0.0)  # clamp rounding below 0
-    return np.concatenate([valid, np.full((*grid, 1), zero), multi[..., None]], axis=-1)
+    grid = []
+    for row in _joint_outcome_grid(settings, thetas, alphas_deg):
+        cells = []
+        for joint in row:
+            valid = [sum(map(mul, joint, weights)) for weights in categories]
+            multi = max(1.0 - sum(valid) - zero, 0.0)  # clamp rounding below 0
+            cells.append(valid + [zero, multi])
+        grid.append(cells)
+    return grid
 
 
 def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
@@ -179,29 +189,39 @@ def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
                     n_shots, first_stream=stream)[0]
 
 
+def _stream_seeds(seed: int, first_stream: int, n: int) -> list:
+    """The ``SeedSequence`` of streams ``first_stream`` to ``first_stream + n
+    - 1``: stream ``k`` is ``SeedSequence(entropy=seed, spawn_key=(k,))``."""
+    import numpy as np
+
+    return np.random.SeedSequence(entropy=seed, n_children_spawned=first_stream).spawn(n)
+
+
 def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
              alphas_deg, shots_per_point: int, first_stream: int = 0) -> list[CountTable]:
     """One CountTable per (theta, alpha) grid point, row-major, each drawn in
     one multinomial from the grid's window probabilities.
 
-    Point ``i`` draws from its own generator, derived from (seed,
-    ``first_stream + i``), so repeated calls give the same tables and a point
-    gets the same table as a ``run`` at that point with that stream.
+    Point ``i`` draws from its own generator, on stream ``first_stream + i``
+    of the seed (see ``_stream_seeds``), so repeated calls give the same
+    tables and a point gets the same table as a ``run`` at that point with
+    that stream.
     """
+    import numpy as np
+
     if shots_per_point <= 0:
         raise ValueError("shots per point must be positive")
-    cells = window_probability_grid(settings, model, thetas, alphas_deg).reshape(-1, 6)
+    cells = [p for row in window_probability_grid(settings, model, thetas, alphas_deg)
+             for p in row]
     tables = []
-    for i, p in enumerate(cells):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=model.seed, spawn_key=(first_stream + i,))
-        )
-        n = rng.multinomial(shots_per_point, p)
+    for p, stream in zip(cells, _stream_seeds(model.seed, first_stream, len(cells))):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        n = rng.multinomial(shots_per_point, p).tolist()
         tables.append(CountTable(
-            counts={c: int(k) for c, k in zip(CATEGORIES, n[:4])},
-            valid=int(n[:4].sum()),
-            discarded_zero=int(n[4]),
-            discarded_multi=int(n[5]),
+            counts=dict(zip(CATEGORIES, n[:4])),
+            valid=sum(n[:4]),
+            discarded_zero=n[4],
+            discarded_multi=n[5],
             shots=shots_per_point,
         ))
     return tables

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +63,17 @@ class TestParseGrid:
         for bad in ("0:1", "a:b:c", "0:1:0", "1:2:-3"):
             with pytest.raises(cli.UsageError):
                 cli.parse_grid(bad)
+
+    @pytest.mark.parametrize("spec", [
+        "0:6.283185307179586:25", "0:90:13", "0:90:17", "0:6.283185307179586:17",
+        "0:6.283185307179586:16", "0:90:10", "-1:9.7:31", "-30:135:23", "2.5:2.5:4",
+        "0:1:2",
+    ] + [f"{t!r}:{t + 2 * math.pi!r}:41"
+         for t in (random.Random(seed).uniform(0.0, 2 * math.pi) for seed in range(1, 9))])
+    def test_bit_identical_to_numpy_linspace(self, spec):
+        start, stop, steps = spec.split(":")
+        expected = np.linspace(float(start), float(stop), int(steps)).tolist()
+        assert cli.parse_grid(spec) == expected
 
 
 class TestSweep:
@@ -409,6 +425,10 @@ class TestCausality:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("grid", ["1", "0", "-7"])
+    def test_grid_below_2_exits_1(self, capsys, grid):
+        assert_usage_error(capsys, "verify", f"--grid={grid}")
+
     def test_self_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--grid", "7")
         assert code == 0
@@ -419,3 +439,62 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--grid", "5", "--bs-phase=-i")
         assert code == 2
         assert "FAIL" in out
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process, so no call may leave state in
+    it for the next."""
+
+    @pytest.mark.parametrize("argv,other", [
+        (["bell", "--seed", "5"], ["bell", "--shots", "3400", "--seed", "6", "--dark", "0.01"]),
+        (["sweep", "--seed", "3"],
+         ["sweep", "--shots", "1000", "--seed", "3", "--theta", "0:1:2", "--alpha", "0:90:2"]),
+        (["sweep", "--theta", "0:1:3", "--alpha", "0:90:2"],
+         ["sweep", "--theta", "0:2:5", "--format", "json", "--basis", "da"]),
+    ])
+    def test_repeated_calls_give_the_same_bytes(self, capsys, argv, other):
+        first = run_cli(capsys, *argv)
+        run_cli(capsys, *other)
+        assert run_cli(capsys, *argv) == first
+        assert cli.build_parser() is cli.build_parser()
+        if argv[0] == "bell":  # the default --shots applies again
+            assert first[0] == 0
+            per_point = 200_000 // (2 * cli.BELL_SCAN_POINTS)
+            assert window_counts(first[2])["shots"] == per_point * 2 * cli.BELL_SCAN_POINTS
+        elif "--seed" in argv:  # the analytic sweep still rejects model flags
+            assert first[0] == 1 and first[2].startswith("error: --seed needs --shots")
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: runs one CLI command in a fresh interpreter and prints its exit code,
+#: whether importing the package loaded numpy, and whether the command did
+NUMPY_PROBE = """
+import contextlib, io, sys
+import qbs_sim
+from qbs_sim import cli
+loaded_at_import = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, loaded_at_import, "numpy" in sys.modules)
+"""
+
+
+class TestNumpyFreeExactPath:
+    @pytest.mark.parametrize("argv,numpy_loaded", [
+        (["causality", "--fiber-length", "50"], False),
+        (["verify"], False),
+        (["sweep"], False),
+        (["sweep", "--format", "json", "--basis", "da", "--input", "mixture"], False),
+        (["sweep", "--theta", "0.5:0.5:1", "--alpha", "0:90:4", "--dump-state", "STATE"],
+         False),
+        # the probe sees numpy where the sampler loads it
+        (["sweep", "--shots", "1000", "--seed", "1", "--theta", "0:1:2",
+          "--alpha", "0:90:2"], True),
+    ])
+    def test_numpy_loaded_only_to_sample(self, tmp_path, argv, numpy_loaded):
+        argv = [str(tmp_path / "state.json") if a == "STATE" else a for a in argv]
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                                capture_output=True, text=True, timeout=120,
+                                env=dict(os.environ, PYTHONPATH=path))
+        assert result.stdout.split() == ["0", "False", str(numpy_loaded)], result.stderr

@@ -197,14 +197,15 @@ class TestDaEquivalenceForEntangledInput:
 
 
 def reference_joint(s):
-    """(corroborative pol, terminal mode) probabilities from the sparse,
-    element-by-element reference path."""
+    """(corroborative pol, terminal path) probabilities from the sparse,
+    element-by-element reference path, summed over the terminal
+    polarization."""
     state = qdc.build_qdc_state(s)
     components = state.components if isinstance(state, MixedState) else [(1.0, state)]
-    out = np.zeros((2, len(qdc.TERMINAL_MODES)))
+    out = np.zeros((2, len(qdc.TERMINAL_PATHS)))
     for w, comp in components:
         for (cm, tm), a in comp.amplitudes.items():
-            out[(H, V).index(cm.pol), qdc.TERMINAL_MODES.index(tm)] += w * abs(a) ** 2
+            out[(H, V).index(cm.pol), qdc.TERMINAL_PATHS.index(tm.path)] += w * abs(a) ** 2
     return out
 
 
@@ -218,8 +219,8 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("basis,input", cases)
     def test_joint_grid_matches_reference(self, basis, input):
         s = settings(basis=basis, input=input)
-        batched = qdc.joint_probabilities(s, self.thetas, self.alphas)
-        assert batched.shape == (len(self.thetas), len(self.alphas), 2, 8)
+        batched = np.array(qdc.joint_probabilities(s, self.thetas, self.alphas))
+        assert batched.shape == (len(self.thetas), len(self.alphas), 2, 4)
         for i, theta in enumerate(self.thetas):
             for j, alpha in enumerate(self.alphas):
                 ref = reference_joint(
@@ -237,8 +238,7 @@ class TestCompiledEquivalence:
                     point = replace(s, theta=p.theta, alpha_deg=p.alpha_deg)
                     ref = reference_joint(point)
                     row = ref[qdc.CORROBORATIVE_DETECTORS.index(corr)]
-                    in_group = [m.path in qdc.GROUP_PATHS[grp]
-                                for m in qdc.TERMINAL_MODES]
+                    in_group = [p in qdc.GROUP_PATHS[grp] for p in qdc.TERMINAL_PATHS]
                     joint = row[in_group].sum()
                     assert abs(p.value - joint / row.sum()) <= 1e-12
                     assert abs(qdc.joint_probability(point, corr, grp)
@@ -257,10 +257,11 @@ class TestCompiledEquivalence:
     @pytest.mark.parametrize("basis", (qdc.BASIS_HV, qdc.BASIS_DA))
     def test_compiled_amplitudes_match_element_chain(self, basis):
         # U(theta) = A + exp(i theta) B, column by column, for both splitter
-        # phases; the flipped phase must not reuse the default's matrices
-        compiled = {}
+        # phases; the flipped phase must not reuse the default's compiled terms
+        terms = {}
         for phase in (1j, -1j):
-            a, b = qdc._compiled_test_side(basis, phase)
+            a, b = (np.array(m) for m in qdc._compiled_test_side(basis, phase))
+            assert a.shape == b.shape == (len(qdc.TERMINAL_MODES), len(qdc.ENTRANCE_MODES))
             for theta in (0.0, 1.1, 8.0):
                 s = settings(theta=theta, basis=basis, bs_reflection_phase=phase)
                 cols = el.circuit_columns(qdc.test_side_circuit(s), qdc.ENTRANCE_MODES)
@@ -268,8 +269,8 @@ class TestCompiledEquivalence:
                 for j, mode in enumerate(qdc.ENTRANCE_MODES):
                     ref = [cols[mode].get(m, 0j) for m in qdc.TERMINAL_MODES]
                     assert np.abs(u[:, j] - ref).max() <= 1e-12
-            compiled[phase] = a + np.exp(1.1j) * b
-        assert np.abs(compiled[1j] - compiled[-1j]).max() > 0.1
+            terms[phase] = np.array(qdc._compiled(basis, qdc.INPUT_ENTANGLED, phase))
+        assert np.abs(terms[1j] - terms[-1j]).max() > 0.1
 
     def test_grid_builds_no_elements_once_compiled(self, monkeypatch):
         qdc.surface(settings(basis=qdc.BASIS_DA), self.thetas, self.alphas)

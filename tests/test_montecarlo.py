@@ -88,7 +88,7 @@ class TestWindowProbabilities:
     @pytest.mark.parametrize("s,eta,dark", CASES)
     def test_sums_to_one(self, s, eta, dark):
         model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
-        p = mc.window_probabilities(s, model)
+        p = np.array(mc.window_probabilities(s, model))
         assert p.shape == (6,)
         assert np.all(p >= 0.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -151,7 +151,7 @@ class TestWindowProbabilities:
         observed = np.zeros(6)
         for _ in range(n):
             observed[window_cell(mc.sample_shot(s, model, rng))] += 1
-        expected = n * mc.window_probabilities(s, model)
+        expected = n * np.array(mc.window_probabilities(s, model))
         assert expected.min() > 5  # every cell populated
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         # 5 degrees of freedom; 20.52 is the 0.1 % critical value
@@ -253,8 +253,8 @@ class TestGrid:
     @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
     def test_window_grid_matches_each_point(self, eta, dark, basis, inp):
         model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
-        grid = mc.window_probability_grid(settings(basis=basis, input=inp), model,
-                                          self.THETAS, self.ALPHAS)
+        grid = np.array(mc.window_probability_grid(settings(basis=basis, input=inp), model,
+                                                   self.THETAS, self.ALPHAS))
         assert grid.shape == (len(self.THETAS), len(self.ALPHAS), 6)
         for i, theta in enumerate(self.THETAS):
             for j, alpha in enumerate(self.ALPHAS):
@@ -273,6 +273,26 @@ class TestGrid:
             s = settings(theta=float(theta), alpha_deg=float(alpha), basis=base.basis,
                          input=base.input)
             assert table.to_json() == mc.run(s, model, 5000, stream=17 + i).to_json()
+
+    @pytest.mark.parametrize("first_stream", [0, 17])
+    def test_streams_are_the_seeds_spawn_keys(self, first_stream):
+        # point i draws from SeedSequence(entropy=seed, spawn_key=(first_stream
+        # + i,)) through PCG64; run shares this derivation, so the grid test
+        # above cannot see it drift
+        model = mc.DetectionModel(efficiency=0.4, dark_probability=2e-3, seed=314)
+        base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
+        n = len(self.THETAS) * len(self.ALPHAS)
+        streams = mc._stream_seeds(model.seed, first_stream, n)
+        cells = [p for row in mc.window_probability_grid(base, model, self.THETAS,
+                                                         self.ALPHAS) for p in row]
+        tables = mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, first_stream)
+        assert len(streams) == len(cells) == len(tables) == n
+        for i, (stream, p, table) in enumerate(zip(streams, cells, tables)):
+            ref = np.random.SeedSequence(entropy=model.seed, spawn_key=(first_stream + i,))
+            assert stream.generate_state(8).tolist() == ref.generate_state(8).tolist()
+            drawn = np.random.default_rng(ref).multinomial(5000, p).tolist()
+            assert drawn == [table.counts[c] for c in mc.CATEGORIES] + [
+                table.discarded_zero, table.discarded_multi]
 
 
 class TestEstimate:
