@@ -8,11 +8,8 @@ from .states import (
     Mode,
     MixedState,
     TwoPhotonState,
-    ensemble_probability,
     fidelity,
     make_state,
-    marginal_probability,
-    mix,
 )
 from .elements import (
     OpticalElement,
@@ -33,7 +30,6 @@ from .experiment import (
     build_qdc_state,
     category_probability,
     closed_form_ia,
-    complementary_probability,
     joint_probabilities,
     joint_probability,
     mixture_state,

@@ -35,6 +35,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as a ``UsageError``, so they exit 1 with one
+    ``error:`` line like every other validation error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def linspace(start: float, stop: float, steps: int) -> list[float]:
     """``steps`` evenly spaced points from ``start`` to ``stop`` inclusive,
     computed as ``numpy.linspace`` does (``i * step + start``, the last point
@@ -200,7 +208,6 @@ def cmd_causality(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    phase = {"i": 1j, "-i": -1j}[args.bs_phase]
     failures = 0
 
     def report(name: str, deviation: float, tol: float):
@@ -217,7 +224,7 @@ def cmd_verify(args) -> int:
     # checkpoint fidelities along the apparatus
     dev_pdbs = dev_erasers = dev_rot = 0.0
     for theta in thetas:
-        s = qdc.ExperimentSettings(theta=theta, bs_reflection_phase=phase)
+        s = qdc.ExperimentSettings(theta=theta)
         chain = qdc.test_side_circuit(s)
         pre = el.apply_all(chain[:3], qdc.bell_state())
         dev_pdbs = max(dev_pdbs, 1.0 - fidelity(pre, qdc.reference_after_pdbs(theta)))
@@ -246,7 +253,7 @@ def cmd_verify(args) -> int:
     report("composite splitter equivalence", dev_comp, 1e-10)
 
     # closed-form oracle over a coarse grid
-    surf = qdc.surface(qdc.ExperimentSettings(bs_reflection_phase=phase), thetas,
+    surf = qdc.surface(qdc.ExperimentSettings(), thetas,
                        linspace(0.0, 90.0, max(args.grid // 2, 2)))
     dev_oracle = max(abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg))
                      for p in surf.points)
@@ -258,7 +265,7 @@ def cmd_verify(args) -> int:
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing leaves it unchanged."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qbs-sim",
         description="Two-photon quantum-beam-splitter interferometer simulator",
     )
@@ -308,18 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run internal consistency checkpoints")
     sp.add_argument("--grid", type=int, default=13, help="oracle grid density")
-    sp.add_argument("--bs-phase", choices=("i", "-i"), default="i",
-                    help=argparse.SUPPRESS)  # self-check hook
     sp.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bell" and args.shots is None:
-        args.shots = 200_000
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "bell" and args.shots is None:
+            args.shots = 200_000
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -102,26 +102,16 @@ def _require_distinct(*paths: str):
 
 
 def beam_splitter_50_50(
-    in1: str,
-    in2: str,
-    out1: str,
-    out2: str,
-    side: str = SIDE_TEST,
-    reflection_phase: complex = 1j,
+    in1: str, in2: str, out1: str, out2: str, side: str = SIDE_TEST
 ) -> OpticalElement:
-    """Polarization-independent 50/50 splitter, phase ``reflection_phase`` on
-    the cross port.  ``reflection_phase`` must be unimodular; it exists as a
-    hook for deliberately breaking the convention in self-checks."""
+    """Polarization-independent 50/50 splitter, phase i on the cross port."""
     _require_distinct(in1, in2)
     _require_distinct(out1, out2)
-    r = complex(reflection_phase)
-    if abs(abs(r) - 1.0) > 1e-12:
-        raise ElementError("reflection phase must be unimodular")
     t = 1.0 / math.sqrt(2.0)
     cols = {}
     for pol in (H, V):
-        cols[Mode(in1, pol)] = {Mode(out1, pol): t, Mode(out2, pol): r * t}
-        cols[Mode(in2, pol)] = {Mode(out2, pol): t, Mode(out1, pol): r * t}
+        cols[Mode(in1, pol)] = {Mode(out1, pol): t, Mode(out2, pol): 1j * t}
+        cols[Mode(in2, pol)] = {Mode(out2, pol): t, Mode(out1, pol): 1j * t}
     return OpticalElement(f"BS({in1},{in2}->{out1},{out2})", side, cols)
 
 
@@ -133,23 +123,18 @@ def phase_shifter(path: str, theta: float, side: str = SIDE_TEST) -> OpticalElem
 
 
 def pdbs(
-    in_a: str,
-    in_b: str,
-    out_a: str,
-    out_b: str,
-    side: str = SIDE_TEST,
-    reflection_phase: complex = 1j,
+    in_a: str, in_b: str, out_a: str, out_b: str, side: str = SIDE_TEST
 ) -> OpticalElement:
-    """Polarization-dependent splitter: H fully transmitted, V split 50/50."""
+    """Polarization-dependent splitter: H fully transmitted, V split 50/50
+    with phase i on the cross port."""
     _require_distinct(in_a, in_b)
     _require_distinct(out_a, out_b)
-    r = complex(reflection_phase)
     t = 1.0 / math.sqrt(2.0)
     cols = {
         Mode(in_a, H): {Mode(out_a, H): 1.0},
         Mode(in_b, H): {Mode(out_b, H): 1.0},
-        Mode(in_a, V): {Mode(out_a, V): t, Mode(out_b, V): r * t},
-        Mode(in_b, V): {Mode(out_b, V): t, Mode(out_a, V): r * t},
+        Mode(in_a, V): {Mode(out_a, V): t, Mode(out_b, V): 1j * t},
+        Mode(in_b, V): {Mode(out_b, V): t, Mode(out_a, V): 1j * t},
     }
     return OpticalElement(f"PDBS({in_a},{in_b}->{out_a},{out_b})", side, cols)
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import elements as el
 from .states import (H, V, POLARIZATIONS, Mode, MixedState, TwoPhotonState,
-                     make_state, mix)
+                     make_state)
 
 BASIS_HV = "HV"
 BASIS_DA = "DA"
@@ -57,7 +57,6 @@ class ExperimentSettings:
     alpha_deg: float = 0.0      # corroborative rotation, degrees
     basis: str = BASIS_HV
     input: str = INPUT_ENTANGLED
-    bs_reflection_phase: complex = 1j  # self-check hook, leave at default
 
     def __post_init__(self):
         if self.basis not in (BASIS_HV, BASIS_DA):
@@ -73,21 +72,19 @@ def bell_state() -> TwoPhotonState:
 
 def mixture_state() -> MixedState:
     """Dephased Bell state: 1/2 |HH><HH| + 1/2 |VV><VV|."""
-    return mix([(0.5, make_state([((Mode("c", p), Mode("a", p)), 1.0)]))
-                for p in POLARIZATIONS])
+    return MixedState([(0.5, make_state([((Mode("c", p), Mode("a", p)), 1.0)]))
+                       for p in POLARIZATIONS])
 
 
-def _test_side_halves(
-    basis: str, bs_reflection_phase: complex
-) -> tuple[list[el.OpticalElement], list[el.OpticalElement]]:
+def _test_side_halves(basis: str
+                      ) -> tuple[list[el.OpticalElement], list[el.OpticalElement]]:
     """Test-side elements before and after the phase plate on arm ``b``."""
     before: list[el.OpticalElement] = []
     if basis == BASIS_DA:
         before.append(el.polarization_rotator("a", -45.0, side=el.SIDE_TEST))
-    r = bs_reflection_phase
-    before.append(el.beam_splitter_50_50("a", "b", "a", "b", reflection_phase=r))
+    before.append(el.beam_splitter_50_50("a", "b", "a", "b"))
     after = [
-        el.pdbs("a", "b", "a", "b", reflection_phase=r),
+        el.pdbs("a", "b", "a", "b"),
         el.pbs_rotated("a", "a", "a'", 45.0),
         el.pbs_rotated("b", "b", "b'", 45.0),
     ]
@@ -103,7 +100,7 @@ def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
     before the interferometer; for the entangled input this is identical to
     offsetting the corroborative rotation by +45 degrees.
     """
-    before, after = _test_side_halves(settings.basis, settings.bs_reflection_phase)
+    before, after = _test_side_halves(settings.basis)
     return before + [el.phase_shifter("b", settings.theta)] + after
 
 
@@ -118,16 +115,16 @@ def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState
     chain = test_side_circuit(settings) + corroborative_side_circuit(settings)
     if settings.input == INPUT_ENTANGLED:
         return el.apply_all(chain, bell_state())
-    return mix([(w, el.apply_all(chain, s)) for w, s in mixture_state().components])
+    return MixedState([(w, el.apply_all(chain, s))
+                       for w, s in mixture_state().components])
 
 
-def _compiled_test_side(basis: str, bs_reflection_phase: complex
-                        ) -> tuple[tuple[tuple[complex, ...], ...], ...]:
+def _compiled_test_side(basis: str) -> tuple[tuple[tuple[complex, ...], ...], ...]:
     """The test side as ``U(theta) = A + exp(i theta) B``: two 8x2 maps from
     ``ENTRANCE_MODES`` to ``TERMINAL_MODES``, as tuples of rows, ``A``
     through arm ``a`` and ``B`` through the phase plate on arm ``b``.
     Composed from the unitarity-checked elements."""
-    before, after = _test_side_halves(basis, bs_reflection_phase)
+    before, after = _test_side_halves(basis)
     pre = el.circuit_columns(before, ENTRANCE_MODES)
     post = el.circuit_columns(after, ARM_MODES)
 
@@ -142,7 +139,7 @@ def _compiled_test_side(basis: str, bs_reflection_phase: complex
 
 
 @lru_cache(maxsize=None)
-def _compiled(basis: str, input: str, bs_reflection_phase: complex
+def _compiled(basis: str, input: str
               ) -> tuple[tuple[int, complex, complex, complex, complex], ...]:
     """The input carried through the test side, built once per key: one term
     ``(path index, A_H, B_H, A_V, B_V)`` per mixture component and terminal
@@ -150,7 +147,7 @@ def _compiled(basis: str, input: str, bs_reflection_phase: complex
     the corroborative photon H and ``w = A_V + exp(i theta) B_V`` with it V,
     before the rotator.  Each component is scaled by the square root of its
     mixture weight; terms with no amplitude are dropped."""
-    a, b = _compiled_test_side(basis, bs_reflection_phase)
+    a, b = _compiled_test_side(basis)
     components = ([(1.0, bell_state())] if input == INPUT_ENTANGLED
                   else mixture_state().components)
     terms = []
@@ -195,7 +192,7 @@ def joint_probabilities(settings: ExperimentSettings, thetas, alphas_deg) -> lis
     ``TERMINAL_PATHS`` order) on the whole grid, as nested lists indexed
     ``[theta][alpha][pol][path]``.  The grid replaces ``settings.theta`` and
     ``settings.alpha_deg``."""
-    terms = _compiled(settings.basis, settings.input, settings.bs_reflection_phase)
+    terms = _compiled(settings.basis, settings.input)
     weights = [_rotator_weights(a) for a in alphas_deg]
     grid = []
     for theta in thetas:
@@ -212,7 +209,7 @@ def _categories(settings: ExperimentSettings, corroborative: str, group: str,
     into the corroborative marginal before the alpha loop, so each point
     costs one division."""
     ci, _ = _category_index(corroborative, group)
-    terms = _compiled(settings.basis, settings.input, settings.bs_reflection_phase)
+    terms = _compiled(settings.basis, settings.input)
     weights = [_rotator_weights(a)[ci] for a in alphas_deg]
     members = [i for i, p in enumerate(TERMINAL_PATHS) if p in GROUP_PATHS[group]]
     out = []
@@ -246,14 +243,6 @@ def category_probability(
                        [settings.theta], [settings.alpha_deg])[0][1]
 
 
-def complementary_probability(
-    settings: ExperimentSettings, corroborative: str = "D_H", group: str = GROUP_A
-) -> float:
-    """1 - category_probability of the paired category (the other XOR group
-    gated with the same corroborative detector)."""
-    return 1.0 - category_probability(settings, corroborative, _other_group(group))
-
-
 def closed_form_ia(theta: float, alpha_deg: float) -> float:
     """Independent closed-form oracle for the (D_H, A-group) correlation:
     cos^2(theta/2) sin^2(alpha) + 1/2 cos^2(alpha)."""
@@ -273,10 +262,6 @@ def surface(settings: ExperimentSettings, thetas, alphas_deg,
         SurfacePoint(theta, alpha, conditional, None)
         for (theta, alpha), (_, conditional) in zip(points, values)
     ])
-
-
-def _other_group(group: str) -> str:
-    return GROUP_B if group == GROUP_A else GROUP_A
 
 
 def _category_index(corroborative: str, group: str) -> tuple[int, int]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 H = "H"
 V = "V"
@@ -90,38 +90,15 @@ def make_state(entries: Iterable[tuple[ModePair, complex]]) -> TwoPhotonState:
     return TwoPhotonState(amps)
 
 
-def inner_product(s1: TwoPhotonState, s2: TwoPhotonState) -> complex:
-    acc = 0j
+def fidelity(s1: TwoPhotonState, s2: TwoPhotonState) -> float:
+    """|<s1|s2>|^2 -- insensitive to global phase."""
     a1 = s1.amplitudes
+    overlap = 0j
     for key, a in s2.amplitudes.items():
         b = a1.get(key)
         if b is not None:
-            acc += b.conjugate() * a
-    return acc
-
-
-def fidelity(s1: TwoPhotonState, s2: TwoPhotonState) -> float:
-    """|<s1|s2>|^2 -- insensitive to global phase."""
-    return abs(inner_product(s1, s2)) ** 2
-
-
-def marginal_probability(
-    state: TwoPhotonState, predicate: Callable[[Mode, Mode], bool]
-) -> float:
-    """Sum of |amplitude|^2 over mode pairs satisfying the predicate."""
-    return sum(
-        abs(a) ** 2 for (cm, tm), a in state.amplitudes.items() if predicate(cm, tm)
-    )
-
-
-def mix(components: list[tuple[float, TwoPhotonState]]) -> MixedState:
-    return MixedState(components)
-
-
-def ensemble_probability(
-    m: MixedState, predicate: Callable[[Mode, Mode], bool]
-) -> float:
-    return sum(w * marginal_probability(s, predicate) for w, s in m.components)
+            overlap += b.conjugate() * a
+    return abs(overlap) ** 2
 
 
 def _key_str(key: ModePair) -> str:

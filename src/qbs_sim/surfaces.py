@@ -48,18 +48,3 @@ class CorrelationSurface:
             for p in self.points:
                 out.write(f"{p.theta!r},{p.alpha_deg!r},{p.value!r}\n")
         return out.getvalue()
-
-
-def from_csv(text: str) -> CorrelationSurface:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split(",")
-    has_err = "stderr" in header
-    points = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        theta, alpha, value = (float(cells[i]) for i in range(3))
-        err = None
-        if has_err and len(cells) > 3 and cells[3] != "":
-            err = float(cells[3])
-        points.append(SurfacePoint(theta, alpha, value, err))
-    return CorrelationSurface(points)

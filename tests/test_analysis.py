@@ -6,7 +6,6 @@ import pytest
 from qbs_sim import analysis
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
-from qbs_sim import surfaces
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 17)
 
@@ -183,6 +182,17 @@ class TestPropagationDelay:
             analysis.propagation_delay(-1.0)
 
 
+def csv_bits(text):
+    """The data rows of a surface CSV, each cell parsed with ``float`` and
+    given as its exact bits."""
+    return [tuple(float(cell).hex() for cell in line.split(","))
+            for line in text.splitlines()[1:]]
+
+
+def point_bits(points, columns):
+    return [tuple(float(v).hex() for v in p[:columns]) for p in points]
+
+
 class TestSurfaceCsv:
     def test_round_trip_bit_identical(self):
         model = mc.DetectionModel(seed=2)
@@ -191,9 +201,8 @@ class TestSurfaceCsv:
         ]
         surf = analysis.surface_from_counts(grid)
         text = surf.to_csv()
-        again = surfaces.from_csv(text)
-        assert again.to_csv() == text
-        assert again.points[0].value == surf.points[0].value
+        assert text.splitlines()[0] == "theta_rad,alpha_deg,estimate,stderr"
+        assert csv_bits(text) == point_bits(surf.points, 4)
 
     def test_analytic_round_trip(self):
         surf = qdc.surface(
@@ -201,4 +210,4 @@ class TestSurfaceCsv:
         )
         text = surf.to_csv()
         assert text.splitlines()[0] == "theta_rad,alpha_deg,probability"
-        assert surfaces.from_csv(text).to_csv() == text
+        assert csv_bits(text) == point_bits(surf.points, 3)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qbs_sim import analysis, cli
+from qbs_sim import elements as el
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
 from qbs_sim.states import load_state, fidelity
@@ -292,9 +293,7 @@ class TestBell:
         assert_usage_error(capsys, "bell", "--shots", "33")
 
     def test_format_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bell", "--format", "csv"])
-        assert exc.value.code == 2
+        assert_usage_error(capsys, "bell", "--format", "csv")
 
     def test_negative_seed_exits_1(self, capsys):
         assert_usage_error(capsys, "bell", "--shots", "1000", "--seed", "-3")
@@ -419,9 +418,7 @@ class TestCausality:
                            f"{flag}={value}")
 
     def test_format_flag_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["causality", "--format", "csv"])
-        assert exc.value.code == 2
+        assert_usage_error(capsys, "causality", "--format", "csv")
 
 
 class TestVerify:
@@ -435,10 +432,41 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == 5
 
-    def test_wrong_splitter_convention_detected(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--grid", "5", "--bs-phase=-i")
+    @pytest.mark.parametrize("splitter", ["pdbs", "beam_splitter_50_50"])
+    def test_wrong_splitter_convention_detected(self, capsys, monkeypatch, splitter):
+        # the same splitter with -i instead of i on reflection: its transmitted
+        # amplitudes are real, so conjugating every amplitude flips just that
+        good = getattr(el, splitter)
+
+        def flipped(*args, **kwargs):
+            e = good(*args, **kwargs)
+            return el.OpticalElement(e.name, e.side, {
+                m: {o: a.conjugate() for o, a in col.items()}
+                for m, col in e.columns.items()})
+
+        monkeypatch.setattr(el, splitter, flipped)
+        qdc._compiled.cache_clear()  # no compiled apparatus outlives the fault
+        try:
+            code, out, _ = run_cli(capsys, "verify", "--grid", "5")
+        finally:
+            qdc._compiled.cache_clear()
         assert code == 2
-        assert "FAIL" in out
+        assert "FAIL  closed-form correlation oracle" in out
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--bogus"], ["sweep", "--shots", "abc"], ["bell", "--basis", "xx"],
+        [], ["bogus"],
+    ])
+    def test_bad_arguments_exit_1(self, capsys, argv):
+        assert_usage_error(capsys, *argv)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--theta" in capsys.readouterr().out
 
 
 class TestParserReuse:

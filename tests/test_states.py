@@ -7,16 +7,14 @@ import pytest
 from qbs_sim.states import (
     H,
     V,
+    MixedState,
     Mode,
     StateError,
     TwoPhotonState,
     dump_state,
-    ensemble_probability,
     fidelity,
     load_state,
     make_state,
-    marginal_probability,
-    mix,
 )
 
 CH, CV = Mode("c", H), Mode("c", V)
@@ -95,61 +93,14 @@ def test_fidelity_global_phase_and_symmetry():
         assert fidelity(s, t) == pytest.approx(fidelity(t, s), abs=1e-12)
 
 
-def test_marginal_bell_corroborative_h():
-    assert marginal_probability(bell(), lambda cm, tm: cm.pol == H) == pytest.approx(0.5)
-
-
-def test_marginal_always_true_is_one():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        s = random_state(rng)
-        assert marginal_probability(s, lambda cm, tm: True) == pytest.approx(1.0)
-
-
-def test_marginal_partition_sums_to_one():
-    rng = np.random.default_rng(4)
-    s = random_state(rng)
-    total = sum(
-        marginal_probability(s, lambda cm, tm, p=p: tm.path == p) for p in "abcd"
-    )
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mixture_symmetric():
-    hh = make_state([((CH, AH), 1.0)])
-    vv = make_state([((CV, AV), 1.0)])
-    m = mix([(0.5, hh), (0.5, vv)])
-    assert ensemble_probability(m, lambda cm, tm: cm.pol == H) == pytest.approx(0.5)
-    assert ensemble_probability(m, lambda cm, tm: tm.pol == V) == pytest.approx(0.5)
-
-
-def test_single_component_mixture_degenerate():
-    s = bell()
-    m = mix([(1.0, s)])
-    pred = lambda cm, tm: cm.pol == H
-    assert ensemble_probability(m, pred) == pytest.approx(marginal_probability(s, pred))
-
-
 def test_mixture_negative_weight_rejected():
     with pytest.raises(StateError):
-        mix([(-0.1, bell()), (1.1, bell())])
+        MixedState([(-0.1, bell()), (1.1, bell())])
 
 
 def test_mixture_weights_must_sum_to_one():
     with pytest.raises(StateError):
-        mix([(0.4, bell()), (0.4, bell())])
-
-
-def test_ensemble_probability_affine_in_weights():
-    rng = np.random.default_rng(5)
-    s1, s2 = random_state(rng), random_state(rng)
-    pred = lambda cm, tm: tm.path == "a"
-    for w in (0.0, 0.25, 0.7, 1.0):
-        m = mix([(w, s1), (1.0 - w, s2)])
-        expected = w * marginal_probability(s1, pred) + (1 - w) * marginal_probability(
-            s2, pred
-        )
-        assert ensemble_probability(m, pred) == pytest.approx(expected, abs=1e-12)
+        MixedState([(0.4, bell()), (0.4, bell())])
 
 
 def test_dump_load_round_trip():
