@@ -3,10 +3,8 @@ sampled surfaces, and the space-like-separation check.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .montecarlo import CountTable, estimate
 from .surfaces import CorrelationSurface, SurfacePoint
@@ -19,14 +17,12 @@ class FitError(ValueError):
     """Raised when a visibility fit is under-determined or singular."""
 
 
-@dataclass(frozen=True)
-class Visibility:
+class Visibility(NamedTuple):
     value: float
     uncertainty: float
 
 
-@dataclass(frozen=True)
-class SpacetimeEvent:
+class SpacetimeEvent(NamedTuple):
     position_m: float
     time_ns: float
 
@@ -134,7 +130,9 @@ def propagation_delay(
 ) -> float:
     """Group delay L * n / c in nanoseconds."""
     if fiber_meters < 0:
-        raise ValueError("fiber length must be non-negative")
+        raise ValueError(f"fiber length must be non-negative, got {fiber_meters}")
+    if refractive_index < 1:
+        raise ValueError(f"refractive index must be at least 1, got {refractive_index}")
     return fiber_meters * refractive_index / SPEED_OF_LIGHT * 1e9
 
 
@@ -147,6 +145,8 @@ def is_spacelike(e1: SpacetimeEvent, e2: SpacetimeEvent) -> bool:
 
 def causality_report(e_test: SpacetimeEvent, e_corr: SpacetimeEvent) -> str:
     """JSON report of the separation check between the two detection events."""
+    import json
+
     dt_s = abs(e_corr.time_ns - e_test.time_ns) * 1e-9
     obj = {
         "event_test": {"position_m": e_test.position_m, "time_ns": e_test.time_ns},

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import elements as el
 from .states import (H, V, POLARIZATIONS, Mode, MixedState, TwoPhotonState,
                      make_state)
+from .surfaces import CorrelationSurface, SurfacePoint
 
 BASIS_HV = "HV"
 BASIS_DA = "DA"
@@ -51,18 +52,30 @@ ARM_MODES = (Mode("a", H), Mode("a", V), Mode("b", H), Mode("b", V))
 TERMINAL_MODES = tuple(Mode(p, pol) for p in TERMINAL_PATHS for pol in POLARIZATIONS)
 
 
-@dataclass(frozen=True)
-class ExperimentSettings:
+class _Settings(NamedTuple):
     theta: float = 0.0          # interferometer phase, radians
     alpha_deg: float = 0.0      # corroborative rotation, degrees
     basis: str = BASIS_HV
     input: str = INPUT_ENTANGLED
 
-    def __post_init__(self):
+
+class ExperimentSettings(_Settings):
+    """Immutable apparatus settings; every construction, ``_replace`` and
+    ``_make`` included, validates the basis and the input."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.basis not in (BASIS_HV, BASIS_DA):
             raise ValueError(f"unknown basis {self.basis!r}")
         if self.input not in (INPUT_ENTANGLED, INPUT_MIXTURE):
             raise ValueError(f"unknown input {self.input!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds its copy through this
+        return cls(*iterable)
 
 
 def bell_state() -> TwoPhotonState:
@@ -251,11 +264,9 @@ def closed_form_ia(theta: float, alpha_deg: float) -> float:
 
 
 def surface(settings: ExperimentSettings, thetas, alphas_deg,
-            corroborative: str = "D_H", group: str = GROUP_A):
+            corroborative: str = "D_H", group: str = GROUP_A) -> CorrelationSurface:
     """Analytic correlation surface on the (theta, alpha) grid, row-major in
-    theta then alpha.  Returns a CorrelationSurface."""
-    from .surfaces import CorrelationSurface, SurfacePoint
-
+    theta then alpha."""
     points = [(float(theta), float(alpha)) for theta in thetas for alpha in alphas_deg]
     values = _categories(settings, corroborative, group, thetas, alphas_deg)
     return CorrelationSurface([

@@ -16,11 +16,9 @@ reference the closed form is tested against.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from math import sqrt
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import experiment as qdc
 
@@ -38,31 +36,50 @@ CATEGORIES = tuple(
 )
 
 
-@dataclass(frozen=True)
-class DetectionModel:
+class _Model(NamedTuple):
     efficiency: float = 0.25        # per-detector click survival probability
     dark_probability: float = 4.8e-4  # spurious click probability per window
     seed: int = 0
     window_ns: float = 1.0          # coincidence window, metadata only
 
-    def __post_init__(self):
+
+class DetectionModel(_Model):
+    """Immutable detection model; every construction, ``_replace`` and
+    ``_make`` included, validates the probabilities and the seed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency {self.efficiency} outside [0, 1]")
         if not 0.0 <= self.dark_probability <= 1.0:
             raise ValueError(f"dark probability {self.dark_probability} outside [0, 1]")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} is negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # ``_replace`` builds its copy through this
+        return cls(*iterable)
 
 
-@dataclass
 class CountTable:
-    counts: dict = field(default_factory=lambda: {c: 0 for c in CATEGORIES})
-    valid: int = 0
-    discarded_zero: int = 0   # windows without a two-fold coincidence
-    discarded_multi: int = 0  # windows violating the XOR condition
-    shots: int = 0
+    """Window counts of one point: ``counts`` per category sum to ``valid``;
+    ``discarded_zero`` windows had no two-fold coincidence and
+    ``discarded_multi`` ones violated the XOR condition."""
+
+    __slots__ = ("counts", "valid", "discarded_zero", "discarded_multi", "shots")
+
+    def __init__(self, counts=None, valid=0, discarded_zero=0, discarded_multi=0,
+                 shots=0):
+        self.counts = {c: 0 for c in CATEGORIES} if counts is None else counts
+        self.valid, self.shots = valid, shots
+        self.discarded_zero, self.discarded_multi = discarded_zero, discarded_multi
 
     def to_json(self, settings=None, model=None, indent=2) -> str:
+        import json
+
         obj = {
             "counts": {f"{c}|{g}": n for (c, g), n in self.counts.items()},
             "valid": self.valid,
@@ -87,8 +104,7 @@ class CountTable:
         return json.dumps(obj, indent=indent, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     value: float
     stderr: float
     n: int

@@ -6,7 +6,6 @@ sector is represented: every key is exactly one excitation on each side.
 """
 from __future__ import annotations
 
-import json
 import math
 from typing import Iterable, NamedTuple
 
@@ -115,6 +114,8 @@ def _key_from_str(s: str) -> ModePair:
 
 def dump_state(state: TwoPhotonState) -> str:
     """JSON dump: {"cPath.cPol|tPath.tPol": [re, im], ...}."""
+    import json
+
     obj = {
         _key_str(k): [a.real, a.imag] for k, a in sorted(state.amplitudes.items())
     }
@@ -122,6 +123,8 @@ def dump_state(state: TwoPhotonState) -> str:
 
 
 def load_state(text: str) -> TwoPhotonState:
+    import json
+
     obj = json.loads(text)
     return make_state(
         ((_key_from_str(k), complex(re, im)) for k, (re, im) in obj.items())

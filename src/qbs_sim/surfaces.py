@@ -7,7 +7,6 @@ written with ``repr`` so a round trip through CSV is bit-identical.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -18,13 +17,13 @@ class SurfacePoint(NamedTuple):
     stderr: float | None
 
 
-@dataclass
 class CorrelationSurface:
-    points: list[SurfacePoint]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        if not self.points:
+    def __init__(self, points: list[SurfacePoint]):
+        if not points:
             raise ValueError("empty surface")
+        self.points = points
 
     @property
     def sampled(self) -> bool:

@@ -298,6 +298,14 @@ class TestBell:
     def test_negative_seed_exits_1(self, capsys):
         assert_usage_error(capsys, "bell", "--shots", "1000", "--seed", "-3")
 
+    def test_fit_failure_exits_2(self, capsys):
+        # no detector ever clicks, so the scan has no conditioned counts
+        code, out, err = run_cli(capsys, "bell", "--efficiency", "0", "--seed", "1",
+                                 "--shots", "1000")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1].startswith("failure: no conditioned counts")
+
     def test_reports_window_counts(self, capsys):
         code, out, err = run_cli(capsys, "bell", "--shots", "60000", "--seed", "11")
         assert code == 0
@@ -420,6 +428,25 @@ class TestCausality:
     def test_format_flag_removed(self, capsys):
         assert_usage_error(capsys, "causality", "--format", "csv")
 
+    def test_refractive_index_below_1_exits_1(self, capsys):
+        err = assert_usage_error(capsys, "causality", "--refractive-index", "-1",
+                                 "--fiber-length", "5")
+        assert "refractive index" in err
+
+    def test_negative_fiber_length_exits_1(self, capsys):
+        err = assert_usage_error(capsys, "causality", "--fiber-length", "-5")
+        assert "fiber length" in err
+
+    def test_refractive_index_without_fiber_length_exits_1(self, capsys):
+        err = assert_usage_error(capsys, "causality", "--refractive-index", "1.5")
+        assert "--fiber-length" in err
+
+    def test_refractive_index_changes_the_delay(self, capsys):
+        code, _, err = run_cli(capsys, "causality", "--fiber-length", "50",
+                               "--refractive-index", "1")
+        assert code == 0
+        assert "fiber delay: 166.8 ns (50.0 m, n = 1.0)" in err
+
 
 class TestVerify:
     @pytest.mark.parametrize("grid", ["1", "0", "-7"])
@@ -526,3 +553,53 @@ class TestNumpyFreeExactPath:
                                 capture_output=True, text=True, timeout=120,
                                 env=dict(os.environ, PYTHONPATH=path))
         assert result.stdout.split() == ["0", "False", str(numpy_loaded)], result.stderr
+
+
+#: modules that no exact command needs
+HEAVY_MODULES = ("dataclasses", "inspect", "json", "numpy", "qbs_sim.montecarlo",
+                 "qbs_sim.analysis")
+#: imports the CLI, builds its parser and runs one command in a fresh
+#: interpreter; prints the exit code and which of the modules named in the
+#: first argument the package loaded by the time the parser was built and
+#: after the command ran (``-`` for none).  Modules the interpreter loaded
+#: before the package are not counted.
+STARTUP_PROBE = """
+import contextlib, io, sys
+heavy = sys.argv[1].split(",")
+preloaded = set(sys.modules)
+def loaded():
+    return ",".join(m for m in heavy if m in sys.modules and m not in preloaded) or "-"
+from qbs_sim import cli
+cli.build_parser()
+after_parser = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+print(code, after_parser, loaded())
+"""
+
+
+def probe_startup(argv):
+    """(exit code, heavy modules after the parser, after the command)."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, ",".join(HEAVY_MODULES), *argv],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    fields = result.stdout.split()
+    assert len(fields) == 3, result.stderr
+    return int(fields[0]), fields[1], fields[2]
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--theta", "0:6.283185307179586:41", "--alpha", "0:90:17"],
+        ["verify"],
+    ])
+    def test_exact_commands_load_no_heavy_module(self, argv):
+        assert probe_startup(argv) == (0, "-", "-")
+
+    def test_sampled_sweep_loads_the_sampler(self):
+        code, at_start, after = probe_startup(
+            ["sweep", "--shots", "1000", "--seed", "1", "--theta", "0:1:2",
+             "--alpha", "0:90:2"])
+        assert (code, at_start) == (0, "-")
+        assert {"qbs_sim.montecarlo", "qbs_sim.analysis"} <= set(after.split(","))

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +40,23 @@ class TestBuildState:
             settings(basis="XY")
         with pytest.raises(ValueError):
             settings(input="thermal")
+
+    def test_copies_are_validated(self):
+        s = settings(theta=0.3)
+        assert s._replace(basis=qdc.BASIS_DA) == settings(theta=0.3, basis=qdc.BASIS_DA)
+        with pytest.raises(ValueError, match="basis"):
+            s._replace(basis="XY")
+        with pytest.raises(ValueError, match="input"):
+            s._replace(input="thermal")
+        with pytest.raises(ValueError, match="basis"):
+            qdc.ExperimentSettings._make((0.0, 0.0, "XY", qdc.INPUT_ENTANGLED))
+
+    def test_settings_are_immutable(self):
+        s = settings()
+        with pytest.raises(AttributeError):
+            s.theta = 1.0
+        with pytest.raises(AttributeError):
+            s.extra = 1.0
 
 
 class TestCategoryProbability:
@@ -221,7 +237,7 @@ class TestCompiledEquivalence:
         for i, theta in enumerate(self.thetas):
             for j, alpha in enumerate(self.alphas):
                 ref = reference_joint(
-                    replace(s, theta=float(theta), alpha_deg=float(alpha))
+                    s._replace(theta=float(theta), alpha_deg=float(alpha))
                 )
                 assert np.abs(batched[i, j] - ref).max() <= 1e-12
 
@@ -232,7 +248,7 @@ class TestCompiledEquivalence:
             for grp in qdc.GROUPS:
                 surf = qdc.surface(s, self.thetas, self.alphas, corr, grp)
                 for p in surf.points:
-                    point = replace(s, theta=p.theta, alpha_deg=p.alpha_deg)
+                    point = s._replace(theta=p.theta, alpha_deg=p.alpha_deg)
                     ref = reference_joint(point)
                     row = ref[qdc.CORROBORATIVE_DETECTORS.index(corr)]
                     in_group = [p in qdc.GROUP_PATHS[grp] for p in qdc.TERMINAL_PATHS]

@@ -40,6 +40,25 @@ class TestModel:
         with pytest.raises(ValueError, match="seed"):
             mc.DetectionModel(seed=-5)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("efficiency", 1.2, "efficiency"), ("efficiency", float("nan"), "efficiency"),
+        ("dark_probability", -0.1, "dark"), ("seed", -5, "seed"),
+    ])
+    def test_copies_are_validated(self, field, value, message):
+        model = mc.DetectionModel(seed=3)
+        assert model._replace(efficiency=0.5) == mc.DetectionModel(0.5, seed=3)
+        with pytest.raises(ValueError, match=message):
+            model._replace(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            mc.DetectionModel._make({**model._asdict(), field: value}.values())
+
+    def test_model_is_immutable(self):
+        model = mc.DetectionModel()
+        with pytest.raises(AttributeError):
+            model.seed = 1
+        with pytest.raises(AttributeError):
+            model.extra = 1
+
 
 class TestSampleShot:
     def test_ideal_shot_has_one_click_per_side(self):
