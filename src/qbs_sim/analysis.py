@@ -1,13 +1,17 @@
-"""Fringe-visibility fits, the Bell parameter from two-basis visibilities,
-sampled surfaces, and the space-like-separation check.
+"""Correlation estimates from count tables, fringe-visibility fits, the Bell
+parameter from two-basis visibilities, sampled surfaces, and the
+space-like-separation check.
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .montecarlo import CountTable, estimate
+from . import experiment as qdc
 from .surfaces import CorrelationSurface, SurfacePoint
+
+if TYPE_CHECKING:
+    from .montecarlo import CountTable
 
 SPEED_OF_LIGHT = 299_792_458.0          # m/s
 DEFAULT_FIBER_INDEX = 1.468             # standard single-mode fiber near 1560 nm
@@ -25,6 +29,27 @@ class Visibility(NamedTuple):
 class SpacetimeEvent(NamedTuple):
     position_m: float
     time_ns: float
+
+
+class Estimate(NamedTuple):
+    value: float
+    stderr: float
+    n: int
+    defined: bool = True
+
+
+def estimate(table: CountTable, corroborative: str = "D_H",
+             group: str = qdc.GROUP_A) -> Estimate:
+    """Intensity-correlation estimate N(corr, group) / N(corr, either group)
+    with a binomial standard error."""
+    n_a = table.counts[(corroborative, group)]
+    n_b = table.counts[(corroborative, qdc.GROUP_B if group == qdc.GROUP_A
+                        else qdc.GROUP_A)]
+    n = n_a + n_b
+    if n == 0:
+        return Estimate(float("nan"), float("nan"), 0, defined=False)
+    p = n_a / n
+    return Estimate(p, math.sqrt(p * (1.0 - p) / n), n)
 
 
 def fit_visibility(
@@ -107,7 +132,7 @@ def classical_bound_violation(s: float, uncertainty: float) -> float:
 def surface_from_counts(
     grid: Sequence[tuple[float, float, CountTable]],
     corroborative: str = "D_H",
-    group: str = "A",
+    group: str = qdc.GROUP_A,
 ) -> CorrelationSurface:
     """Per-point estimates and standard errors from sampled count tables.
     ``grid`` holds (theta, alpha_deg, CountTable) triples."""

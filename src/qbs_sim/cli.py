@@ -10,8 +10,9 @@ Subcommands:
 Grid syntax is start:stop:steps with inclusive endpoints; theta is in
 radians, alpha in degrees.  Exit codes: 0 success, 1 validation error,
 2 runtime or self-check failure.  Stdout carries only the payload; the seed
-and other diagnostics go to stderr.  The sampler and the analysis modules
-(and numpy with them) are imported only by the commands that use them.
+and other diagnostics go to stderr.  The sampler (and numpy with it) is
+imported only by the sampled commands, and the analysis module only by the
+commands that use it.
 """
 from __future__ import annotations
 
@@ -83,9 +84,9 @@ def _model(args) -> mc.DetectionModel:
 
     seed = args.seed
     if seed is None:
-        import numpy as np
+        import secrets
 
-        seed = np.random.SeedSequence().entropy % 2**63
+        seed = secrets.randbits(63)
     given = {"efficiency": args.efficiency, "dark_probability": args.dark}
     try:
         return mc.DetectionModel(
@@ -170,7 +171,7 @@ def _scan_visibility(args, model, basis, alpha, basis_index):
                          first_stream=basis_index * BELL_SCAN_POINTS)
     values, errs = [], []
     for theta, table in zip(thetas, tables):
-        est = mc.estimate(table)
+        est = analysis.estimate(table)
         if not est.defined:
             raise analysis.FitError(f"no conditioned counts at theta={theta}")
         values.append(est.value)
@@ -248,8 +249,7 @@ def cmd_verify(args) -> int:
         dev_erasers = max(dev_erasers,
                           1.0 - fidelity(full, qdc.reference_after_erasers(theta)))
         for alpha in (0.0, 30.0, 45.0, 90.0):
-            rotated = el.apply_all(qdc.corroborative_side_circuit(
-                qdc.ExperimentSettings(alpha_deg=alpha)), full)
+            rotated = el.apply(el.polarization_rotator("c", alpha), full)
             dev_rot = max(dev_rot, 1.0 - fidelity(
                 rotated, qdc.reference_after_rotator(theta, alpha)))
     report("splitter checkpoint fidelity", dev_pdbs, 1e-10)
@@ -298,12 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dark", type=float, default=None)
         sp.add_argument("--input", choices=(qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE),
                         default=qdc.INPUT_ENTANGLED)
-        sp.add_argument("--basis", choices=("hv", "da"), default="hv")
 
     sp = sub.add_parser("sweep", help="correlation surface on a (theta, alpha) grid")
     add_output(sp)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     add_model(sp)
+    sp.add_argument("--basis", choices=("hv", "da"), default="hv")
     sp.add_argument("--theta", default="0:6.283185307179586:25",
                     help="theta grid start:stop:steps (radians)")
     sp.add_argument("--alpha", default="0:90:13",
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bell", help="Bell parameter from phase-scan visibilities")
     add_output(sp)
     add_model(sp)
-    sp.set_defaults(func=cmd_bell)
+    sp.set_defaults(func=cmd_bell, shots=200_000)
 
     sp = sub.add_parser("causality", help="space-like separation check")
     add_output(sp)
@@ -338,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "bell" and args.shots is None:
-            args.shots = 200_000
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,9 +101,7 @@ def _require_distinct(*paths: str):
         raise ElementError(f"repeated path labels {paths}")
 
 
-def beam_splitter_50_50(
-    in1: str, in2: str, out1: str, out2: str, side: str = SIDE_TEST
-) -> OpticalElement:
+def beam_splitter_50_50(in1: str, in2: str, out1: str, out2: str) -> OpticalElement:
     """Polarization-independent 50/50 splitter, phase i on the cross port."""
     _require_distinct(in1, in2)
     _require_distinct(out1, out2)
@@ -112,19 +110,17 @@ def beam_splitter_50_50(
     for pol in (H, V):
         cols[Mode(in1, pol)] = {Mode(out1, pol): t, Mode(out2, pol): 1j * t}
         cols[Mode(in2, pol)] = {Mode(out2, pol): t, Mode(out1, pol): 1j * t}
-    return OpticalElement(f"BS({in1},{in2}->{out1},{out2})", side, cols)
+    return OpticalElement(f"BS({in1},{in2}->{out1},{out2})", SIDE_TEST, cols)
 
 
-def phase_shifter(path: str, theta: float, side: str = SIDE_TEST) -> OpticalElement:
+def phase_shifter(path: str, theta: float) -> OpticalElement:
     """Multiply both polarizations on ``path`` by exp(i*theta)."""
     ph = cmath.exp(1j * theta)
     cols = {Mode(path, pol): {Mode(path, pol): ph} for pol in (H, V)}
-    return OpticalElement(f"phase({path},{theta:.6g})", side, cols)
+    return OpticalElement(f"phase({path},{theta:.6g})", SIDE_TEST, cols)
 
 
-def pdbs(
-    in_a: str, in_b: str, out_a: str, out_b: str, side: str = SIDE_TEST
-) -> OpticalElement:
+def pdbs(in_a: str, in_b: str, out_a: str, out_b: str) -> OpticalElement:
     """Polarization-dependent splitter: H fully transmitted, V split 50/50
     with phase i on the cross port."""
     _require_distinct(in_a, in_b)
@@ -136,16 +132,10 @@ def pdbs(
         Mode(in_a, V): {Mode(out_a, V): t, Mode(out_b, V): 1j * t},
         Mode(in_b, V): {Mode(out_b, V): t, Mode(out_a, V): 1j * t},
     }
-    return OpticalElement(f"PDBS({in_a},{in_b}->{out_a},{out_b})", side, cols)
+    return OpticalElement(f"PDBS({in_a},{in_b}->{out_a},{out_b})", SIDE_TEST, cols)
 
 
-def pbs_rotated(
-    path_in: str,
-    path_t: str,
-    path_r: str,
-    angle_deg: float,
-    side: str = SIDE_TEST,
-) -> OpticalElement:
+def pbs_rotated(path_in: str, path_t: str, path_r: str, angle_deg: float) -> OpticalElement:
     """Polarizing splitter analyzed at ``angle_deg`` from the H axis.
 
     Transmits the projection on cos*H - sin*V toward ``path_t`` (relabeled H)
@@ -161,7 +151,7 @@ def pbs_rotated(
         Mode(path_in, V): {Mode(path_t, H): -s, Mode(path_r, V): c},
     }
     return OpticalElement(
-        f"PBS({path_in}->{path_t},{path_r}@{angle_deg:g}deg)", side, cols
+        f"PBS({path_in}->{path_t},{path_r}@{angle_deg:g}deg)", SIDE_TEST, cols
     )
 
 
@@ -179,14 +169,9 @@ def polarization_rotator(
     return OpticalElement(f"rot({path},{alpha_deg:g}deg)", side, cols)
 
 
-def pdbs_composite(
-    in_a: str = "a",
-    in_b: str = "b",
-    out_a: str = "a",
-    out_b: str = "b",
-    side: str = SIDE_TEST,
-) -> list[OpticalElement]:
-    """Bulk realization of the polarization-dependent splitter.
+def pdbs_composite() -> list[OpticalElement]:
+    """Bulk realization of the polarization-dependent splitter on paths ``a``
+    and ``b``.
 
     Four H/V polarizing splitters route the H components around an ordinary
     50/50 splitter while the V components pass through it; a final pair of
@@ -195,15 +180,15 @@ def pdbs_composite(
     def route(name, *routes):
         # (input path, output path, polarization) rails of an H/V splitter
         cols = {Mode(i, p): {Mode(o, p): 1.0} for i, o, p in routes}
-        return OpticalElement(name, side, cols)
+        return OpticalElement(name, SIDE_TEST, cols)
 
     # splitter stage: H reflected onto bypass rails, V transmitted toward BS
     return [
-        route("PBS-split-a", (in_a, "_ha", H), (in_a, "_va", V)),
-        route("PBS-split-b", (in_b, "_hb", H), (in_b, "_vb", V)),
-        beam_splitter_50_50("_va", "_vb", "_wa", "_wb", side=side),
-        route("PBS-merge-a", ("_ha", out_a, H), ("_wa", out_a, V)),
-        route("PBS-merge-b", ("_hb", out_b, H), ("_wb", out_b, V)),
+        route("PBS-split-a", ("a", "_ha", H), ("a", "_va", V)),
+        route("PBS-split-b", ("b", "_hb", H), ("b", "_vb", V)),
+        beam_splitter_50_50("_va", "_vb", "_wa", "_wb"),
+        route("PBS-merge-a", ("_ha", "a", H), ("_wa", "a", V)),
+        route("PBS-merge-b", ("_hb", "b", H), ("_wb", "b", V)),
     ]
 
 

@@ -43,9 +43,8 @@ GROUP_PATHS = {
     GROUP_A: frozenset({"b", "b'"}),
     GROUP_B: frozenset({"a", "a'"}),
 }
-#: terminal path -> detector, fixed order used by the Monte Carlo layer
+#: fixed terminal-path order of the joint outcomes
 TERMINAL_PATHS = ("a", "a'", "b", "b'")
-PATH_DETECTORS = {p: d for d, p in DETECTOR_PATHS.items()}
 #: test-photon modes at the entrance, on the two arms, and behind the erasers
 ENTRANCE_MODES = (Mode("a", H), Mode("a", V))
 ARM_MODES = (Mode("a", H), Mode("a", V), Mode("b", H), Mode("b", V))
@@ -117,15 +116,11 @@ def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
     return before + [el.phase_shifter("b", settings.theta)] + after
 
 
-def corroborative_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
-    return [el.polarization_rotator("c", settings.alpha_deg)]
-
-
 def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState:
     """Evolve the configured input through the full apparatus, element by
     element.  This sparse path is the reference: it gives the checkpoint and
     dumped states, and ``joint_probabilities`` is tested against it."""
-    chain = test_side_circuit(settings) + corroborative_side_circuit(settings)
+    chain = test_side_circuit(settings) + [el.polarization_rotator("c", settings.alpha_deg)]
     if settings.input == INPUT_ENTANGLED:
         return el.apply_all(chain, bell_state())
     return MixedState([(w, el.apply_all(chain, s))
@@ -234,16 +229,6 @@ def _categories(settings: ExperimentSettings, corroborative: str, group: str,
             joint = ku * g[0] + kw * g[1] + kx * g[2]
             out.append((joint, joint / (ku * t[0] + kw * t[1] + kx * t[2])))
     return out
-
-
-def joint_probability(
-    settings: ExperimentSettings, corroborative: str, group: str
-) -> float:
-    """Probability of the two-fold coincidence (corroborative detector,
-    XOR test group).  The four categories partition all coincidences and
-    sum to 1."""
-    return _categories(settings, corroborative, group,
-                       [settings.theta], [settings.alpha_deg])[0][0]
 
 
 def category_probability(

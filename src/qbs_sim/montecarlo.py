@@ -8,29 +8,18 @@ exactly one corroborative and exactly one test detector clicked; everything
 else is counted as a discard, mirroring hardware XOR gating.
 
 Those three draws are independent, so the probabilities of the 6 count cells
-have a closed form (``window_probabilities``), and a whole count table is a
-single multinomial draw from it.  ``run_grid`` evaluates those probabilities
-for a whole (theta, alpha) grid at once and draws each point from its own RNG
-stream.  ``sample_shot`` simulates one window click by click and is the
-reference the closed form is tested against.
+have a closed form (``window_probability_grid``), and a whole count table is
+a single multinomial draw from it.  ``run_grid`` evaluates those
+probabilities for a whole (theta, alpha) grid at once and draws each point
+from its own RNG stream.
 """
 from __future__ import annotations
 
-from math import sqrt
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import experiment as qdc
 
-if TYPE_CHECKING:
-    import numpy as np
-
-#: detector names, corroborative first
-DETECTORS = ("D_H", "D_V", "D_a", "D_a'", "D_b", "D_b'")
-#: terminal-path order matching the joint outcome encoding
-_PATH_TO_DET = tuple(
-    DETECTORS.index(qdc.PATH_DETECTORS[p]) for p in qdc.TERMINAL_PATHS
-)
 CATEGORIES = tuple(
     (corr, grp) for corr in qdc.CORROBORATIVE_DETECTORS for grp in qdc.GROUPS
 )
@@ -40,7 +29,6 @@ class _Model(NamedTuple):
     efficiency: float = 0.25        # per-detector click survival probability
     dark_probability: float = 4.8e-4  # spurious click probability per window
     seed: int = 0
-    window_ns: float = 1.0          # coincidence window, metadata only
 
 
 class DetectionModel(_Model):
@@ -64,51 +52,16 @@ class DetectionModel(_Model):
         return cls(*iterable)
 
 
-class CountTable:
+class CountTable(NamedTuple):
     """Window counts of one point: ``counts`` per category sum to ``valid``;
     ``discarded_zero`` windows had no two-fold coincidence and
     ``discarded_multi`` ones violated the XOR condition."""
 
-    __slots__ = ("counts", "valid", "discarded_zero", "discarded_multi", "shots")
-
-    def __init__(self, counts=None, valid=0, discarded_zero=0, discarded_multi=0,
-                 shots=0):
-        self.counts = {c: 0 for c in CATEGORIES} if counts is None else counts
-        self.valid, self.shots = valid, shots
-        self.discarded_zero, self.discarded_multi = discarded_zero, discarded_multi
-
-    def to_json(self, settings=None, model=None, indent=2) -> str:
-        import json
-
-        obj = {
-            "counts": {f"{c}|{g}": n for (c, g), n in self.counts.items()},
-            "valid": self.valid,
-            "discarded_zero": self.discarded_zero,
-            "discarded_multi": self.discarded_multi,
-            "shots": self.shots,
-        }
-        if settings is not None:
-            obj["settings"] = {
-                "theta": settings.theta,
-                "alpha_deg": settings.alpha_deg,
-                "basis": settings.basis,
-                "input": settings.input,
-            }
-        if model is not None:
-            obj["model"] = {
-                "efficiency": model.efficiency,
-                "dark_probability": model.dark_probability,
-                "window_ns": model.window_ns,
-            }
-            obj["seed"] = model.seed
-        return json.dumps(obj, indent=indent, sort_keys=True)
-
-
-class Estimate(NamedTuple):
-    value: float
-    stderr: float
-    n: int
-    defined: bool = True
+    counts: dict
+    valid: int
+    discarded_zero: int
+    discarded_multi: int
+    shots: int
 
 
 def _joint_outcome_grid(settings: qdc.ExperimentSettings, thetas,
@@ -133,35 +86,12 @@ def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]
     return _joint_outcome_grid(settings, [settings.theta], [settings.alpha_deg])[0][0]
 
 
-def sample_shot(settings: qdc.ExperimentSettings, model: DetectionModel,
-                rng: np.random.Generator) -> frozenset[str]:
-    """Single coincidence window; returns the set of detectors that clicked."""
-    probs = joint_outcome_probabilities(settings)
-    outcome = int(rng.choice(8, p=probs))
-    clicked = set()
-    if rng.random() < model.efficiency:
-        clicked.add(DETECTORS[outcome // 4])
-    if rng.random() < model.efficiency:
-        clicked.add(DETECTORS[_PATH_TO_DET[outcome % 4]])
-    for det in DETECTORS:
-        if rng.random() < model.dark_probability:
-            clicked.add(det)
-    return frozenset(clicked)
-
-
-def window_probabilities(settings: qdc.ExperimentSettings,
-                         model: DetectionModel) -> list[float]:
-    """Exact probabilities of the 6 window cells: the 4 ``CATEGORIES`` in
-    order, then ``discarded_zero``, then ``discarded_multi``."""
-    return window_probability_grid(settings, model, [settings.theta],
-                                   [settings.alpha_deg])[0][0]
-
-
 def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionModel,
                             thetas, alphas_deg) -> list[list[list[float]]]:
-    """``window_probabilities`` on the whole (theta, alpha) grid, nested
-    ``[theta][alpha][cell]``.  The grid replaces ``settings.theta`` and
-    ``settings.alpha_deg``.
+    """Exact probabilities of the 6 window cells on the whole (theta, alpha)
+    grid, nested ``[theta][alpha][cell]``: the 4 ``CATEGORIES`` in order, then
+    ``discarded_zero``, then ``discarded_multi``.  The grid replaces
+    ``settings.theta`` and ``settings.alpha_deg``.
 
     Given the joint outcome the two sides click independently.  A side's
     signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
@@ -242,16 +172,3 @@ def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
         ))
     return tables
 
-
-def estimate(table: CountTable, corroborative: str = "D_H",
-             group: str = qdc.GROUP_A) -> Estimate:
-    """Intensity-correlation estimate N(corr, group) / N(corr, either group)
-    with a binomial standard error."""
-    n_a = table.counts[(corroborative, group)]
-    n_b = table.counts[(corroborative, qdc.GROUP_B if group == qdc.GROUP_A
-                        else qdc.GROUP_A)]
-    n = n_a + n_b
-    if n == 0:
-        return Estimate(float("nan"), float("nan"), 0, defined=False)
-    p = n_a / n
-    return Estimate(p, sqrt(p * (1.0 - p) / n), n)

@@ -50,9 +50,6 @@ class TwoPhotonState:
                 amps[key] = a
         self.amplitudes = amps
 
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
-
     def __repr__(self):
         terms = ", ".join(
             f"{_key_str(k)}: {a:.4g}" for k, a in sorted(self.amplitudes.items())
@@ -105,13 +102,6 @@ def _key_str(key: ModePair) -> str:
     return f"{cm.path}.{cm.pol}|{tm.path}.{tm.pol}"
 
 
-def _key_from_str(s: str) -> ModePair:
-    c, t = s.split("|")
-    cp, cpol = c.rsplit(".", 1)
-    tp, tpol = t.rsplit(".", 1)
-    return (Mode(cp, cpol), Mode(tp, tpol))
-
-
 def dump_state(state: TwoPhotonState) -> str:
     """JSON dump: {"cPath.cPol|tPath.tPol": [re, im], ...}."""
     import json
@@ -121,11 +111,3 @@ def dump_state(state: TwoPhotonState) -> str:
     }
     return json.dumps(obj, indent=2)
 
-
-def load_state(text: str) -> TwoPhotonState:
-    import json
-
-    obj = json.loads(text)
-    return make_state(
-        ((_key_from_str(k), complex(re, im)) for k, (re, im) in obj.items())
-    )

@@ -1,0 +1,49 @@
+"""Independent test references: a click-by-click window simulation, against
+which the sampler's closed-form window cells are tested, and a parser for
+``dump_state`` files."""
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from qbs_sim import experiment as qdc
+from qbs_sim import montecarlo as mc
+from qbs_sim.states import Mode, ModePair
+
+#: detector names, corroborative first
+DETECTORS = ("D_H", "D_V", "D_a", "D_a'", "D_b", "D_b'")
+#: terminal path -> detector
+PATH_DETECTORS = {p: d for d, p in qdc.DETECTOR_PATHS.items()}
+#: terminal-path order matching the joint outcome encoding
+_PATH_TO_DET = tuple(
+    DETECTORS.index(PATH_DETECTORS[p]) for p in qdc.TERMINAL_PATHS
+)
+
+
+def sample_shot(settings: qdc.ExperimentSettings, model: mc.DetectionModel,
+                rng: np.random.Generator) -> frozenset[str]:
+    """Single coincidence window; returns the set of detectors that clicked."""
+    probs = mc.joint_outcome_probabilities(settings)
+    outcome = int(rng.choice(8, p=probs))
+    clicked = set()
+    if rng.random() < model.efficiency:
+        clicked.add(DETECTORS[outcome // 4])
+    if rng.random() < model.efficiency:
+        clicked.add(DETECTORS[_PATH_TO_DET[outcome % 4]])
+    for det in DETECTORS:
+        if rng.random() < model.dark_probability:
+            clicked.add(det)
+    return frozenset(clicked)
+
+
+def parse_dump(text: str) -> dict[ModePair, complex]:
+    """The amplitudes of a ``dump_state`` file, keyed by (corroborative,
+    test) mode pair."""
+    amplitudes = {}
+    for key, (re, im) in json.loads(text).items():
+        c, t = key.split("|")
+        cp, cpol = c.rsplit(".", 1)
+        tp, tpol = t.rsplit(".", 1)
+        amplitudes[(Mode(cp, cpol), Mode(tp, tpol))] = complex(re, im)
+    return amplitudes

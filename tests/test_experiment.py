@@ -12,6 +12,15 @@ def settings(**kw):
     return qdc.ExperimentSettings(**kw)
 
 
+def group_joint(s, corroborative, group):
+    """P(corroborative detector, test group) at the point of ``s``, summed
+    from the joint outcome probabilities."""
+    row = qdc.joint_probabilities(s, [s.theta], [s.alpha_deg])[0][0][
+        qdc.CORROBORATIVE_DETECTORS.index(corroborative)]
+    return sum(p for p, path in zip(row, qdc.TERMINAL_PATHS)
+               if path in qdc.GROUP_PATHS[group])
+
+
 class TestBuildState:
     def test_alpha_zero_matches_eraser_checkpoint(self):
         for theta in np.linspace(0, 2 * math.pi, 9):
@@ -33,7 +42,7 @@ class TestBuildState:
         assert len(state.components) == 2
         for w, comp in state.components:
             assert w == pytest.approx(0.5)
-            assert abs(comp.norm_squared() - 1.0) < 1e-12
+            assert abs(sum(abs(a) ** 2 for a in comp.amplitudes.values()) - 1.0) < 1e-12
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError):
@@ -86,7 +95,7 @@ class TestCategoryProbability:
             for alpha in (0.0, 20.0, 45.0, 90.0):
                 s = settings(theta=float(theta), alpha_deg=alpha)
                 total = sum(
-                    qdc.joint_probability(s, corr, grp)
+                    group_joint(s, corr, grp)
                     for corr in qdc.CORROBORATIVE_DETECTORS
                     for grp in qdc.GROUPS
                 )
@@ -144,9 +153,7 @@ class TestComplementary:
             for (cm, tm), a in qdc.build_qdc_state(s).amplitudes.items()
             if tm.path in qdc.GROUP_PATHS[qdc.GROUP_A]
         )
-        joint_sum = qdc.joint_probability(s, "D_H", qdc.GROUP_A) + qdc.joint_probability(
-            s, "D_V", qdc.GROUP_A
-        )
+        joint_sum = group_joint(s, "D_H", qdc.GROUP_A) + group_joint(s, "D_V", qdc.GROUP_A)
         assert joint_sum == pytest.approx(p_a, abs=1e-12)
 
     def test_complement_relation(self):
@@ -254,8 +261,7 @@ class TestCompiledEquivalence:
                     in_group = [p in qdc.GROUP_PATHS[grp] for p in qdc.TERMINAL_PATHS]
                     joint = row[in_group].sum()
                     assert abs(p.value - joint / row.sum()) <= 1e-12
-                    assert abs(qdc.joint_probability(point, corr, grp)
-                               - joint) <= 1e-12
+                    assert abs(group_joint(point, corr, grp) - joint) <= 1e-12
 
     @pytest.mark.parametrize("n_theta,n_alpha", [(1, 1), (1, 5), (5, 1)])
     def test_degenerate_grids(self, n_theta, n_alpha):

@@ -1,10 +1,11 @@
 import itertools
-import json
 import math
 
 import numpy as np
 import pytest
 
+import reference
+from qbs_sim import analysis
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
 
@@ -16,8 +17,13 @@ def settings(**kw):
 IDEAL = dict(efficiency=1.0, dark_probability=0.0)
 
 
+def window_cells(s, model):
+    """The 6 window-cell probabilities at the point of ``s``."""
+    return mc.window_probability_grid(s, model, [s.theta], [s.alpha_deg])[0][0]
+
+
 def window_cell(clicked: frozenset) -> int:
-    """Index of a window's cell in ``window_probabilities`` order."""
+    """Index of a window's cell in ``window_probability_grid`` order."""
     corr = sorted(clicked & {"D_H", "D_V"})
     test = sorted(clicked - {"D_H", "D_V"})
     if not corr or not test:
@@ -68,7 +74,7 @@ class TestSampleShot:
         n_a = n_h = 0
         n = 2000
         for _ in range(n):
-            clicked = mc.sample_shot(s, model, rng)
+            clicked = reference.sample_shot(s, model, rng)
             corr = clicked & {"D_H", "D_V"}
             test = clicked - corr
             assert len(corr) == 1 and len(test) == 1
@@ -86,12 +92,12 @@ class TestSampleShot:
         rng = np.random.default_rng(1)
         model = mc.DetectionModel(efficiency=0.0, dark_probability=0.0, seed=0)
         for _ in range(200):
-            assert mc.sample_shot(settings(), model, rng) == frozenset()
+            assert reference.sample_shot(settings(), model, rng) == frozenset()
 
     def test_saturated_dark_counts_click_everything(self):
         rng = np.random.default_rng(2)
         model = mc.DetectionModel(efficiency=0.0, dark_probability=1.0, seed=0)
-        assert mc.sample_shot(settings(), model, rng) == frozenset(mc.DETECTORS)
+        assert reference.sample_shot(settings(), model, rng) == frozenset(reference.DETECTORS)
 
 
 class TestWindowProbabilities:
@@ -107,7 +113,7 @@ class TestWindowProbabilities:
     @pytest.mark.parametrize("s,eta,dark", CASES)
     def test_sums_to_one(self, s, eta, dark):
         model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
-        p = np.array(mc.window_probabilities(s, model))
+        p = np.array(window_cells(s, model))
         assert p.shape == (6,)
         assert np.all(p >= 0.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -123,10 +129,10 @@ class TestWindowProbabilities:
         cells = np.zeros(6)
         for outcome in range(8):
             signals = (qdc.CORROBORATIVE_DETECTORS[outcome // 4],
-                       qdc.PATH_DETECTORS[qdc.TERMINAL_PATHS[outcome % 4]])
+                       reference.PATH_DETECTORS[qdc.TERMINAL_PATHS[outcome % 4]])
             for keep in itertools.product((False, True), repeat=2):
                 for darks in itertools.product((False, True), repeat=6):
-                    clicked = {d for d, hit in zip(mc.DETECTORS, darks) if hit}
+                    clicked = {d for d, hit in zip(reference.DETECTORS, darks) if hit}
                     clicked |= {d for d, hit in zip(signals, keep) if hit}
                     weight = joint[outcome]
                     for hit in keep:
@@ -135,12 +141,12 @@ class TestWindowProbabilities:
                         weight *= bernoulli(dark, hit)
                     cells[window_cell(frozenset(clicked))] += weight
         model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
-        np.testing.assert_allclose(mc.window_probabilities(s, model), cells,
+        np.testing.assert_allclose(window_cells(s, model), cells,
                                    rtol=0, atol=1e-12)
 
     def test_ideal_detectors_give_joint_probabilities_by_group(self):
         s = settings(theta=1.3, alpha_deg=25.0)
-        p = mc.window_probabilities(s, mc.DetectionModel(**IDEAL))
+        p = window_cells(s, mc.DetectionModel(**IDEAL))
         joint = mc.joint_outcome_probabilities(s)
         for i, (corr, grp) in enumerate(mc.CATEGORIES):
             ci = qdc.CORROBORATIVE_DETECTORS.index(corr)
@@ -154,12 +160,12 @@ class TestWindowProbabilities:
 
     def test_blind_detectors_give_only_zero_windows(self):
         model = mc.DetectionModel(efficiency=0.0, dark_probability=0.0)
-        p = mc.window_probabilities(settings(theta=0.9), model)
+        p = window_cells(settings(theta=0.9), model)
         assert list(p) == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_saturated_dark_counts_give_only_multi_windows(self):
         model = mc.DetectionModel(efficiency=0.3, dark_probability=1.0)
-        p = mc.window_probabilities(settings(theta=0.9), model)
+        p = window_cells(settings(theta=0.9), model)
         assert list(p) == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_sample_shot_matches_cells_chi_square(self):
@@ -169,8 +175,8 @@ class TestWindowProbabilities:
         n = 2000
         observed = np.zeros(6)
         for _ in range(n):
-            observed[window_cell(mc.sample_shot(s, model, rng))] += 1
-        expected = n * np.array(mc.window_probabilities(s, model))
+            observed[window_cell(reference.sample_shot(s, model, rng))] += 1
+        expected = n * np.array(window_cells(s, model))
         assert expected.min() > 5  # every cell populated
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         # 5 degrees of freedom; 20.52 is the 0.1 % critical value
@@ -185,7 +191,7 @@ class TestRun:
     def test_wave_peak_estimate(self):
         model = mc.DetectionModel(seed=5, **IDEAL)
         table = mc.run(settings(theta=0.0, alpha_deg=90.0), model, 100_000)
-        est = mc.estimate(table)
+        est = analysis.estimate(table)
         assert est.defined
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
@@ -198,14 +204,14 @@ class TestRun:
     def test_determinism_same_seed(self):
         model = mc.DetectionModel(seed=123)
         s = settings(theta=0.4, alpha_deg=55.0)
-        blobs = {mc.run(s, model, 70_000, stream=3).to_json() for _ in range(3)}
-        assert len(blobs) == 1
-        assert mc.run(s, model, 70_000, stream=4).to_json() not in blobs
+        first = mc.run(s, model, 70_000, stream=3)
+        assert all(mc.run(s, model, 70_000, stream=3) == first for _ in range(2))
+        assert mc.run(s, model, 70_000, stream=4) != first
 
     def test_different_seeds_within_scatter(self):
         s = settings(theta=1.0, alpha_deg=60.0)
         ests = [
-            mc.estimate(mc.run(s, mc.DetectionModel(seed=seed, **IDEAL), 50_000))
+            analysis.estimate(mc.run(s, mc.DetectionModel(seed=seed, **IDEAL), 50_000))
             for seed in (1, 2, 3)
         ]
         exact = qdc.closed_form_ia(1.0, 60.0)
@@ -218,17 +224,17 @@ class TestRun:
             for j, alpha in enumerate(np.linspace(0, 90, 5)):
                 model = mc.DetectionModel(seed=model_seed, **IDEAL)
                 s = settings(theta=float(theta), alpha_deg=float(alpha))
-                est = mc.estimate(mc.run(s, model, 100_000, stream=i * 5 + j))
+                est = analysis.estimate(mc.run(s, model, 100_000, stream=i * 5 + j))
                 exact = qdc.closed_form_ia(float(theta), float(alpha))
                 tol = 4 * est.stderr if est.stderr > 0 else 1e-9
                 assert abs(est.value - exact) < max(tol, 1e-9)
 
     def test_efficiency_independence_fair_sampling(self):
         s = settings(theta=1.2, alpha_deg=50.0)
-        e1 = mc.estimate(
+        e1 = analysis.estimate(
             mc.run(s, mc.DetectionModel(efficiency=1.0, dark_probability=0.0, seed=21), 200_000)
         )
-        e2 = mc.estimate(
+        e2 = analysis.estimate(
             mc.run(s, mc.DetectionModel(efficiency=0.25, dark_probability=0.0, seed=22), 200_000)
         )
         combined = math.hypot(e1.stderr, e2.stderr)
@@ -241,9 +247,9 @@ class TestRun:
         values = []
         for stream, dark in enumerate((1e-3, 1e-2, 5e-2)):
             model = mc.DetectionModel(efficiency=0.25, dark_probability=dark, seed=77)
-            est = mc.estimate(mc.run(s, model, 400_000, stream=stream))
+            est = analysis.estimate(mc.run(s, model, 400_000, stream=stream))
             values.append(est.value)
-            p = mc.window_probabilities(s, model)
+            p = window_cells(s, model)
             exact = p[0] / (p[0] + p[1])  # (D_H, A) given D_H
             assert abs(est.value - exact) < 4 * est.stderr
         assert values[0] > values[1] > values[2] > 0.5
@@ -277,7 +283,7 @@ class TestGrid:
         assert grid.shape == (len(self.THETAS), len(self.ALPHAS), 6)
         for i, theta in enumerate(self.THETAS):
             for j, alpha in enumerate(self.ALPHAS):
-                point = mc.window_probabilities(
+                point = window_cells(
                     settings(theta=float(theta), alpha_deg=float(alpha), basis=basis,
                              input=inp), model)
                 np.testing.assert_allclose(grid[i, j], point, rtol=0, atol=1e-15)
@@ -291,7 +297,7 @@ class TestGrid:
         for i, ((theta, alpha), table) in enumerate(zip(points, tables)):
             s = settings(theta=float(theta), alpha_deg=float(alpha), basis=base.basis,
                          input=base.input)
-            assert table.to_json() == mc.run(s, model, 5000, stream=17 + i).to_json()
+            assert table == mc.run(s, model, 5000, stream=17 + i)
 
     @pytest.mark.parametrize("first_stream", [0, 17])
     def test_streams_are_the_seeds_spawn_keys(self, first_stream):
@@ -316,34 +322,23 @@ class TestGrid:
 
 class TestEstimate:
     def _table(self, n_a, n_b):
-        t = mc.CountTable()
-        t.counts[("D_H", "A")] = n_a
-        t.counts[("D_H", "B")] = n_b
-        t.valid = n_a + n_b
-        return t
+        counts = {c: 0 for c in mc.CATEGORIES}
+        counts[("D_H", "A")] = n_a
+        counts[("D_H", "B")] = n_b
+        return mc.CountTable(counts=counts, valid=n_a + n_b, discarded_zero=0,
+                             discarded_multi=0, shots=n_a + n_b)
 
     def test_binomial_formula(self):
-        est = mc.estimate(self._table(75, 25))
+        est = analysis.estimate(self._table(75, 25))
         assert est.value == pytest.approx(0.75)
         assert est.stderr == pytest.approx(0.0433, abs=1e-4)
 
     def test_symmetric(self):
-        est = mc.estimate(self._table(50, 50))
+        est = analysis.estimate(self._table(50, 50))
         assert est.value == pytest.approx(0.5)
         assert est.stderr == pytest.approx(0.05)
 
     def test_degenerate_flagged(self):
-        est = mc.estimate(self._table(0, 0))
+        est = analysis.estimate(self._table(0, 0))
         assert not est.defined
 
-
-class TestSerialization:
-    def test_json_fields(self):
-        s = settings(theta=0.5, alpha_deg=10.0)
-        model = mc.DetectionModel(seed=4)
-        table = mc.run(s, model, 10_000)
-        obj = json.loads(table.to_json(settings=s, model=model))
-        assert obj["shots"] == 10_000
-        assert obj["seed"] == 4
-        assert obj["settings"]["theta"] == 0.5
-        assert set(obj["counts"]) == {"D_H|A", "D_H|B", "D_V|A", "D_V|B"}
