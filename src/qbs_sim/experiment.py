@@ -211,11 +211,11 @@ def joint_probabilities(settings: ExperimentSettings, thetas, alphas_deg) -> lis
 
 
 def _categories(settings: ExperimentSettings, corroborative: str, group: str,
-                thetas, alphas_deg) -> list[tuple[float, float]]:
-    """Joint and conditional probability of one category at each grid point,
-    row-major in theta then alpha.  The paths are summed into the group and
-    into the corroborative marginal before the alpha loop, so each point
-    costs one division."""
+                thetas, alphas_deg) -> list[float]:
+    """Conditional probability of one category at each grid point, row-major
+    in theta then alpha.  The paths are summed into the group and into the
+    corroborative marginal before the alpha loop, so each point costs one
+    division."""
     ci, _ = _category_index(corroborative, group)
     terms = _compiled(settings.basis, settings.input)
     weights = [_rotator_weights(a)[ci] for a in alphas_deg]
@@ -226,8 +226,8 @@ def _categories(settings: ExperimentSettings, corroborative: str, group: str,
         g = [sum(forms[i][k] for i in members) for k in range(3)]
         t = [sum(form[k] for form in forms) for k in range(3)]
         for ku, kw, kx in weights:
-            joint = ku * g[0] + kw * g[1] + kx * g[2]
-            out.append((joint, joint / (ku * t[0] + kw * t[1] + kx * t[2])))
+            out.append((ku * g[0] + kw * g[1] + kx * g[2])
+                       / (ku * t[0] + kw * t[1] + kx * t[2]))
     return out
 
 
@@ -238,7 +238,7 @@ def category_probability(
     P(group | corroborative detector).  This is the quantity the intensity
     correlation I(theta, alpha) refers to."""
     return _categories(settings, corroborative, group,
-                       [settings.theta], [settings.alpha_deg])[0][1]
+                       [settings.theta], [settings.alpha_deg])[0]
 
 
 def closed_form_ia(theta: float, alpha_deg: float) -> float:
@@ -255,8 +255,8 @@ def surface(settings: ExperimentSettings, thetas, alphas_deg,
     points = [(float(theta), float(alpha)) for theta in thetas for alpha in alphas_deg]
     values = _categories(settings, corroborative, group, thetas, alphas_deg)
     return CorrelationSurface([
-        SurfacePoint(theta, alpha, conditional, None)
-        for (theta, alpha), (_, conditional) in zip(points, values)
+        SurfacePoint(theta, alpha, value, None)
+        for (theta, alpha), value in zip(points, values)
     ])
 
 

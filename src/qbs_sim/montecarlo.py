@@ -12,10 +12,16 @@ have a closed form (``window_probability_grid``), and a whole count table is
 a single multinomial draw from it.  ``run_grid`` evaluates those
 probabilities for a whole (theta, alpha) grid at once and draws each point
 from its own RNG stream.
+
+Stream ``k`` of a seed is numpy's ``PCG64(SeedSequence(entropy=seed,
+spawn_key=(k,)))``, for k in [0, 2**32).  ``_stream_states`` derives the
+states of a grid's streams in one vectorized pass, and ``run_grid`` loads
+them into one generator, so the draws are those of a generator per point.
 """
 from __future__ import annotations
 
-from operator import mul
+from itertools import permutations
+from operator import index, mul
 from typing import NamedTuple
 
 from . import experiment as qdc
@@ -135,12 +141,60 @@ def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
                     n_shots, first_stream=stream)[0]
 
 
-def _stream_seeds(seed: int, first_stream: int, n: int) -> list:
-    """The ``SeedSequence`` of streams ``first_stream`` to ``first_stream + n
-    - 1``: stream ``k`` is ``SeedSequence(entropy=seed, spawn_key=(k,))``."""
+# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(const: int, mult: int):
+    """The (constant, next constant) pairs of successive hash calls."""
+    while True:
+        nxt = const * mult & _MASK32
+        yield const, nxt
+        const = nxt
+
+
+def _hash(value, const: int, nxt: int):
+    """``SeedSequence``'s hash of ``value``, a Python int or a uint32 array."""
+    value = (value ^ const) * nxt & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """``SeedSequence``'s mix of a pool word ``x`` with a hashed word ``y``."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _stream_states(seed: int, first_stream: int, n: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of streams ``first_stream`` to ``first_stream
+    + n - 1``, as numpy's ``SeedSequence`` mixing, ``generate_state(4,
+    uint64)`` and PCG64 seeding give them.  The seed is mixed once; only the
+    spawn key, which must fit in one 32-bit word, is mixed per stream."""
     import numpy as np
 
-    return np.random.SeedSequence(entropy=seed, n_children_spawned=first_stream).spawn(n)
+    if first_stream < 0 or first_stream + n > 1 << 32:
+        raise ValueError(f"streams {first_stream} to {first_stream + n - 1} "
+                         "lie outside [0, 2**32)")
+    seed = index(seed)  # a numpy integer seeds like the Python int
+    # the seed's 32-bit words, padded to the 4-word pool as before a spawn key
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 128), 32)]
+    consts = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(w, *next(consts)) for w in words[:4]]
+    for src, dst in permutations(range(4), 2):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
+    keys = np.arange(first_stream, first_stream + n, dtype=np.uint64).astype(np.uint32)
+    for word in words[4:] + [keys]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, *next(consts)))
+    consts = _hash_constants(_INIT_B, _MULT_B)
+    out = [_hash(pool[i % 4], *next(consts)).astype(np.uint64) for i in range(8)]
+    s_hi, s_lo, q_hi, q_lo = ((out[2 * i + 1] << 32 | out[2 * i]).tolist() for i in range(4))
+    incs = [(hi << 65 | lo << 1 | 1) & _MASK128 for hi, lo in zip(q_hi, q_lo)]
+    return [(((hi << 64 | lo) + inc) * _PCG64_MULT + inc & _MASK128, inc)
+            for hi, lo, inc in zip(s_hi, s_lo, incs)]
 
 
 def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
@@ -148,10 +202,9 @@ def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
     """One CountTable per (theta, alpha) grid point, row-major, each drawn in
     one multinomial from the grid's window probabilities.
 
-    Point ``i`` draws from its own generator, on stream ``first_stream + i``
-    of the seed (see ``_stream_seeds``), so repeated calls give the same
-    tables and a point gets the same table as a ``run`` at that point with
-    that stream.
+    Point ``i`` draws from stream ``first_stream + i`` of the seed (see
+    ``_stream_states``), so repeated calls give the same tables and a point
+    gets the same table as a ``run`` at that point with that stream.
     """
     import numpy as np
 
@@ -159,9 +212,12 @@ def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
         raise ValueError("shots per point must be positive")
     cells = [p for row in window_probability_grid(settings, model, thetas, alphas_deg)
              for p in row]
+    bit_generator = np.random.PCG64(0)  # a fixed seed: each point sets its state
+    rng = np.random.Generator(bit_generator)
     tables = []
-    for p, stream in zip(cells, _stream_seeds(model.seed, first_stream, len(cells))):
-        rng = np.random.Generator(np.random.PCG64(stream))
+    for p, (state, inc) in zip(cells, _stream_states(model.seed, first_stream, len(cells))):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
         n = rng.multinomial(shots_per_point, p).tolist()
         tables.append(CountTable(
             counts=dict(zip(CATEGORIES, n[:4])),

@@ -1,15 +1,16 @@
 """Independent test references: a click-by-click window simulation, against
-which the sampler's closed-form window cells are tested, and a parser for
-``dump_state`` files."""
+which the sampler's closed-form window cells are tested, a parser for
+``dump_state`` files, and a probe of the norm ``elements.apply`` builds."""
 from __future__ import annotations
 
 import json
 
 import numpy as np
 
+from qbs_sim import elements as el
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
-from qbs_sim.states import Mode, ModePair
+from qbs_sim.states import Mode, ModePair, TwoPhotonState
 
 #: detector names, corroborative first
 DETECTORS = ("D_H", "D_V", "D_a", "D_a'", "D_b", "D_b'")
@@ -47,3 +48,17 @@ def parse_dump(text: str) -> dict[ModePair, complex]:
         tp, tpol = t.rsplit(".", 1)
         amplitudes[(Mode(cp, cpol), Mode(tp, tpol))] = complex(re, im)
     return amplitudes
+
+
+def raw_norms(monkeypatch) -> list[float]:
+    """Records sum |a|^2 of every amplitude map ``elements.apply`` builds,
+    before ``TwoPhotonState`` divides it by its norm, so that a norm check on
+    the recorded values can fail."""
+    norms = []
+
+    def recording(amplitudes):
+        norms.append(sum(abs(a) ** 2 for a in amplitudes.values()))
+        return TwoPhotonState(amplitudes)
+
+    monkeypatch.setattr(el, "TwoPhotonState", recording)
+    return norms

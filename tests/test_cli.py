@@ -491,6 +491,30 @@ class TestVerify:
         assert code == 2
         assert "FAIL  closed-form correlation oracle" in out
 
+    @pytest.mark.parametrize("angle", [44.0, 40.0, 0.0, -45.0])
+    def test_wrong_eraser_angle_detected(self, capsys, monkeypatch, angle):
+        # both erasers at ``angle`` instead of 45 degrees.  The eraser and
+        # rotator checkpoints fail.  The closed-form oracle row cannot see it:
+        # each XOR group sums both outputs of one eraser, and an eraser only
+        # splits its arm's photon between those two outputs
+        good = el.pbs_rotated
+
+        def wrong(path_in, path_t, path_r, angle_deg):
+            return good(path_in, path_t, path_r, angle if angle_deg == 45.0 else angle_deg)
+
+        monkeypatch.setattr(el, "pbs_rotated", wrong)
+        qdc._compiled.cache_clear()  # no compiled apparatus outlives the fault
+        try:
+            code, out, _ = run_cli(capsys, "verify")
+        finally:
+            qdc._compiled.cache_clear()
+        rows = {line.split(":")[0]: line for line in out.splitlines()}
+        assert code == 2
+        assert sorted(name for name in rows if name.startswith("FAIL")) == [
+            "FAIL  eraser checkpoint fidelity", "FAIL  rotator checkpoint fidelity"]
+        oracle = rows["PASS  closed-form correlation oracle"]
+        assert float(oracle.split("deviation ")[1].split()[0]) < 1e-15
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from qbs_sim import elements as el
 from qbs_sim import experiment as qdc
 from qbs_sim.states import H, V, Mode, fidelity, make_state
@@ -175,13 +176,26 @@ class TestApply:
         s = random_test_state(rng)
         assert fidelity(el.apply(ident, s), s) == pytest.approx(1.0, abs=1e-12)
 
-    def test_norm_preserved_random(self):
+    def test_norm_preserved_random(self, monkeypatch):
+        # the norm apply builds, before the state constructor normalizes it
+        norms = reference.raw_norms(monkeypatch)
         rng = np.random.default_rng(13)
         for _ in range(1000):
             s = random_test_state(rng)
             e = random_test_element(rng)
-            out = el.apply(e, s)
-            assert abs(sum(abs(a) ** 2 for a in out.amplitudes.values()) - 1.0) < 1e-11
+            el.apply(e, s)
+        assert len(norms) == 1000
+        assert max(abs(n - 1.0) for n in norms) < 1e-11
+
+    def test_norm_check_sees_a_scaled_column(self, monkeypatch):
+        # the check above fails for an element with one column scaled by 2,
+        # which the normalized output state hides
+        norms = reference.raw_norms(monkeypatch)
+        e = el.phase_shifter("a", 0.3)
+        e.columns[Mode("a", H)] = {m: 2 * a for m, a in e.columns[Mode("a", H)].items()}
+        out = el.apply(e, random_test_state(np.random.default_rng(13)))
+        assert abs(norms[0] - 1.0) > 1e-11
+        assert abs(sum(abs(a) ** 2 for a in out.amplitudes.values()) - 1.0) < 1e-11
 
     def test_association(self):
         rng = np.random.default_rng(14)

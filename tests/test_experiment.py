@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from qbs_sim import elements as el
 from qbs_sim import experiment as qdc
 from qbs_sim.states import H, V, Mode, MixedState, fidelity
@@ -36,13 +37,18 @@ class TestBuildState:
             expected = 0.5j * complex(math.cos(theta), math.sin(theta))
             assert a == pytest.approx(expected, abs=1e-12)
 
-    def test_mixture_evolves_componentwise(self):
-        state = qdc.build_qdc_state(settings(theta=1.3, input=qdc.INPUT_MIXTURE))
+    def test_mixture_evolves_componentwise(self, monkeypatch):
+        # the norms each element builds, before the state constructor
+        # normalizes them: every element keeps each component's norm
+        norms = reference.raw_norms(monkeypatch)
+        s = settings(theta=1.3, input=qdc.INPUT_MIXTURE)
+        state = qdc.build_qdc_state(s)
         assert isinstance(state, MixedState)
         assert len(state.components) == 2
-        for w, comp in state.components:
+        for w, _ in state.components:
             assert w == pytest.approx(0.5)
-            assert abs(sum(abs(a) ** 2 for a in comp.amplitudes.values()) - 1.0) < 1e-12
+        assert len(norms) == 2 * (len(qdc.test_side_circuit(s)) + 1)  # + the rotator
+        assert max(abs(n - 1.0) for n in norms) < 1e-12
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError):

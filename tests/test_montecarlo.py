@@ -307,17 +307,45 @@ class TestGrid:
         model = mc.DetectionModel(efficiency=0.4, dark_probability=2e-3, seed=314)
         base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
         n = len(self.THETAS) * len(self.ALPHAS)
-        streams = mc._stream_seeds(model.seed, first_stream, n)
+        streams = mc._stream_states(model.seed, first_stream, n)
         cells = [p for row in mc.window_probability_grid(base, model, self.THETAS,
                                                          self.ALPHAS) for p in row]
         tables = mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, first_stream)
         assert len(streams) == len(cells) == len(tables) == n
         for i, (stream, p, table) in enumerate(zip(streams, cells, tables)):
             ref = np.random.SeedSequence(entropy=model.seed, spawn_key=(first_stream + i,))
-            assert stream.generate_state(8).tolist() == ref.generate_state(8).tolist()
+            pcg = np.random.PCG64(ref).state["state"]
+            assert stream == (pcg["state"], pcg["inc"])
             drawn = np.random.default_rng(ref).multinomial(5000, p).tolist()
             assert drawn == [table.counts[c] for c in mc.CATEGORIES] + [
                 table.discarded_zero, table.discarded_multi]
+
+    # seeds of 1, 2, 3 and 7 uint32 words: 2**200 - 1 has more words than the
+    # 4-word pool, so its extra words are mixed in before the spawn key
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**200 - 1])
+    @pytest.mark.parametrize("first_stream", [0, 17, 10**6, 2**32 - 3])
+    def test_stream_states_match_numpy_seeding(self, seed, first_stream):
+        got = mc._stream_states(seed, first_stream, 3)
+        for k, stream in enumerate(got, first_stream):
+            ref = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+            assert stream == (ref.state["state"]["state"], ref.state["state"]["inc"])
+
+    def test_seed_must_be_an_integer(self):
+        s = settings()
+        assert mc.run(s, mc.DetectionModel(seed=np.int64(3)), 1000) == mc.run(
+            s, mc.DetectionModel(seed=3), 1000)
+        with pytest.raises(TypeError):
+            mc.run(s, mc.DetectionModel(seed=1.5), 1000)
+
+    @pytest.mark.parametrize("first_stream,n", [(-1, 1), (-3, 5), (2**32, 1), (2**32 - 2, 3)])
+    def test_streams_outside_32_bits_rejected(self, first_stream, n):
+        # a stream index must fit in one 32-bit spawn-key word
+        model = mc.DetectionModel(seed=7)
+        with pytest.raises(ValueError):
+            mc.run_grid(settings(), model, [0.0], [0.0] * n, 100, first_stream=first_stream)
+        if n == 1:
+            with pytest.raises(ValueError):
+                mc.run(settings(), model, 100, stream=first_stream)
 
 
 class TestEstimate:
