@@ -8,7 +8,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import experiment as qdc
-from .surfaces import CorrelationSurface, SurfacePoint
+from .surfaces import CorrelationSurface
 
 if TYPE_CHECKING:
     from .montecarlo import CountTable
@@ -129,25 +129,20 @@ def classical_bound_violation(s: float, uncertainty: float) -> float:
     return (s - 2.0) / uncertainty
 
 
-def surface_from_counts(
-    grid: Sequence[tuple[float, float, CountTable]],
-    corroborative: str = "D_H",
-    group: str = qdc.GROUP_A,
-) -> CorrelationSurface:
-    """Per-point estimates and standard errors from sampled count tables.
-    ``grid`` holds (theta, alpha_deg, CountTable) triples."""
-    if not grid:
-        raise ValueError("empty grid")
-    points = []
-    for theta, alpha, table in grid:
+def surface_from_counts(thetas: Sequence[float], alphas_deg: Sequence[float],
+                        tables: Sequence[CountTable], corroborative: str = "D_H",
+                        group: str = qdc.GROUP_A) -> CorrelationSurface:
+    """Per-point estimates and standard errors from sampled count tables,
+    one per (theta, alpha) grid point, row-major in theta then alpha."""
+    values, stderrs = [], []
+    for i, table in enumerate(tables):
         est = estimate(table, corroborative, group)
         if not est.defined:
-            raise ValueError(
-                f"no conditioned counts at theta={theta}, alpha={alpha}"
-            )
-        points.append(SurfacePoint(float(theta), float(alpha),
-                                   est.value, est.stderr))
-    return CorrelationSurface(points)
+            raise ValueError(f"no conditioned counts at theta={thetas[i // len(alphas_deg)]}"
+                             f", alpha={alphas_deg[i % len(alphas_deg)]}")
+        values.append(est.value)
+        stderrs.append(est.stderr)
+    return CorrelationSurface(thetas, alphas_deg, values, stderrs)
 
 
 def propagation_delay(

@@ -140,22 +140,17 @@ def cmd_sweep(args) -> int:
         print(f"seed: {model.seed}", file=sys.stderr)
         tables = mc.run_grid(_settings(args), model, thetas, alphas, args.shots // n_points)
         _report_windows(tables)
-        points = [(t, a) for t in thetas for a in alphas]
-        surf = analysis.surface_from_counts(
-            [(t, a, table) for (t, a), table in zip(points, tables)]
-        )
+        surf = analysis.surface_from_counts(thetas, alphas, tables)
     if args.format == "json":
         import json
-        payload = json.dumps(
-            [p._asdict() for p in surf.points], indent=2
-        )
+        payload = json.dumps([p._asdict() for p in surf.points], indent=2)
     else:
         payload = surf.to_csv()
     if args.dump_state:  # first, so a bad path fails before the payload is out
         state = qdc.build_qdc_state(_settings(args, thetas[0], alphas[0]))
         _write_file(args.dump_state, dump_state(state))
     _write(args, payload)
-    print(f"points: {len(surf.points)}  min: {surf.min_value():.6f}  "
+    print(f"points: {len(surf.values)}  min: {surf.min_value():.6f}  "
           f"max: {surf.max_value():.6f}", file=sys.stderr)
     return EXIT_OK
 
@@ -271,8 +266,8 @@ def cmd_verify(args) -> int:
     # closed-form oracle over a coarse grid
     surf = qdc.surface(qdc.ExperimentSettings(), thetas,
                        linspace(0.0, 90.0, max(args.grid // 2, 2)))
-    dev_oracle = max(abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg))
-                     for p in surf.points)
+    oracle = [qdc.closed_form_ia(t, a) for t in surf.thetas for a in surf.alphas]
+    dev_oracle = max(abs(v - ref) for v, ref in zip(surf.values, oracle))
     report("closed-form correlation oracle", dev_oracle, 1e-10)
 
     return EXIT_OK if failures == 0 else EXIT_FAILURE

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import elements as el
 from .states import (H, V, POLARIZATIONS, Mode, MixedState, TwoPhotonState,
                      make_state)
-from .surfaces import CorrelationSurface, SurfacePoint
+from .surfaces import CorrelationSurface
 
 BASIS_HV = "HV"
 BASIS_DA = "DA"
@@ -252,12 +252,8 @@ def surface(settings: ExperimentSettings, thetas, alphas_deg,
             corroborative: str = "D_H", group: str = GROUP_A) -> CorrelationSurface:
     """Analytic correlation surface on the (theta, alpha) grid, row-major in
     theta then alpha."""
-    points = [(float(theta), float(alpha)) for theta in thetas for alpha in alphas_deg]
-    values = _categories(settings, corroborative, group, thetas, alphas_deg)
-    return CorrelationSurface([
-        SurfacePoint(theta, alpha, value, None)
-        for (theta, alpha), value in zip(points, values)
-    ])
+    return CorrelationSurface(thetas, alphas_deg, _categories(
+        settings, corroborative, group, thetas, alphas_deg))
 
 
 def _category_index(corroborative: str, group: str) -> tuple[int, int]:

@@ -21,7 +21,7 @@ them into one generator, so the draws are those of a generator per point.
 from __future__ import annotations
 
 from itertools import permutations
-from operator import index, mul
+from operator import index
 from typing import NamedTuple
 
 from . import experiment as qdc
@@ -70,26 +70,14 @@ class CountTable(NamedTuple):
     shots: int
 
 
-def _joint_outcome_grid(settings: qdc.ExperimentSettings, thetas,
-                       alphas_deg) -> list[list[list[float]]]:
-    """Joint outcome probabilities on the whole (theta, alpha) grid, nested
-    ``[theta][alpha][outcome]``, from one batched evaluation."""
-    grid = []
-    for row in qdc.joint_probabilities(settings, thetas, alphas_deg):
-        out = []
-        for h, v in row:
-            probs = h + v
-            total = sum(probs)
-            if abs(total - 1.0) > 1e-9:
-                raise RuntimeError(f"joint outcome probabilities sum to {total}")
-            out.append([p / total for p in probs])
-        grid.append(out)
-    return grid
-
-
 def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]:
     """Length-8 list over (corroborative pol x terminal path) outcomes."""
-    return _joint_outcome_grid(settings, [settings.theta], [settings.alpha_deg])[0][0]
+    (h, v), = qdc.joint_probabilities(settings, [settings.theta], [settings.alpha_deg])[0]
+    probs = h + v
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise RuntimeError(f"joint outcome probabilities sum to {total}")
+    return [p / total for p in probs]
 
 
 def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionModel,
@@ -101,35 +89,55 @@ def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionMo
 
     Given the joint outcome the two sides click independently.  A side's
     signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
-    of its other detectors with the dark probability ``d``.
+    of its other detectors with the dark probability ``d``.  Each cell is
+    linear in the path forms of ``experiment``: they are summed into the XOR
+    groups once per theta, and the click weights folded into the rotator
+    weights once per alpha, so a point costs four 3-term dot products.
     """
     eta, d = model.efficiency, model.dark_probability
     on = 1.0 - (1.0 - eta) * (1.0 - d)
     # P(only the signal detector fires), P(only one given other one fires)
     corr_sig, corr_other = on * (1.0 - d), (1.0 - on) * d
     test_sig, test_other = on * (1.0 - d) ** 3, (1.0 - on) * d * (1.0 - d) ** 2
-    # corroborative signal (row) -> the single click is D_H / D_V (column)
-    corr = ((corr_sig, corr_other), (corr_other, corr_sig))
-    # per category (corroborative click k, test group): the weight of each
-    # joint outcome (corroborative signal c, terminal path p), where the single
-    # test click lies in the group with the signal on p or with a dark count
-    categories = [
-        [corr[c][k] * (test_sig * (p in paths) + (len(paths) - (p in paths)) * test_other)
-         for c in range(2) for p in qdc.TERMINAL_PATHS]
-        for k in range(2) for paths in (qdc.GROUP_PATHS[g] for g in qdc.GROUPS)
-    ]
+    # the single test click lies in a group with the signal on one of the
+    # group's 2 paths, or with a dark count on one of its 2 detectors
+    own, other = test_sig + test_other, 2.0 * test_other
     # a side with no click at all; its probability is the same for every outcome
     z_c = (1.0 - on) * (1.0 - d)
     z_t = (1.0 - on) * (1.0 - d) ** 3
     zero = z_c + z_t - z_c * z_t
+    # per alpha: the (U, W, X) weights of the single corroborative click being
+    # D_H and being D_V, then the rotator's norm, the weight of U + W in P(H) + P(V)
+    rotators = [[corr_sig * x + corr_other * y for x, y in zip(h, v)]
+                + [corr_other * x + corr_sig * y for x, y in zip(h, v)] + [h[0] + v[0]]
+                for h, v in map(qdc._rotator_weights, alphas_deg)]
+    # the indices of group A's two terminal paths, then of group B's
+    a1, a2, b1, b2 = (qdc.TERMINAL_PATHS.index(p) for g in qdc.GROUPS
+                      for p in sorted(qdc.GROUP_PATHS[g]))
+    terms = qdc._compiled(settings.basis, settings.input)
     grid = []
-    for row in _joint_outcome_grid(settings, thetas, alphas_deg):
-        cells = []
-        for joint in row:
-            valid = [sum(map(mul, joint, weights)) for weights in categories]
-            multi = max(1.0 - sum(valid) - zero, 0.0)  # clamp rounding below 0
-            cells.append(valid + [zero, multi])
-        grid.append(cells)
+    for theta in thetas:
+        f = qdc._path_forms(terms, theta)
+        au, aw, ax = f[a1][0] + f[a2][0], f[a1][1] + f[a2][1], f[a1][2] + f[a2][2]
+        bu, bw, bx = f[b1][0] + f[b2][0], f[b1][1] + f[b2][1], f[b1][2] + f[b2][2]
+        # each group's forms, weighted by the test side's single-click
+        # probabilities with the signal on its own paths or on the other's
+        qau, qaw, qax = own * au + other * bu, own * aw + other * bw, own * ax + other * bx
+        qbu, qbw, qbx = own * bu + other * au, own * bw + other * aw, own * bx + other * ax
+        norm = au + aw + bu + bw
+        row = []
+        for hu, hw, hx, vu, vw, vx, rotator_norm in rotators:
+            total = rotator_norm * norm  # of the joint outcome probabilities
+            if abs(total - 1.0) > 1e-9:
+                raise RuntimeError(f"joint outcome probabilities sum to {total}")
+            scale = 1.0 / total
+            h_a = (hu * qau + hw * qaw + hx * qax) * scale
+            h_b = (hu * qbu + hw * qbw + hx * qbx) * scale
+            v_a = (vu * qau + vw * qaw + vx * qax) * scale
+            v_b = (vu * qbu + vw * qbw + vx * qbx) * scale
+            multi = max(1.0 - (h_a + h_b + v_a + v_b) - zero, 0.0)  # clamp rounding below 0
+            row.append([h_a, h_b, v_a, v_b, zero, multi])
+        grid.append(row)
     return grid
 
 

@@ -6,7 +6,7 @@ written with ``repr`` so a round trip through CSV is bit-identical.
 """
 from __future__ import annotations
 
-import io
+from itertools import product
 from typing import NamedTuple
 
 
@@ -18,32 +18,37 @@ class SurfacePoint(NamedTuple):
 
 
 class CorrelationSurface:
-    __slots__ = ("points",)
+    """The grid as columns: ``values`` (and ``stderrs``, None on an analytic
+    surface) are row-major in ``thetas`` then ``alphas``."""
 
-    def __init__(self, points: list[SurfacePoint]):
-        if not points:
-            raise ValueError("empty surface")
-        self.points = points
+    __slots__ = ("thetas", "alphas", "values", "stderrs")
+
+    def __init__(self, thetas, alphas, values: list[float], stderrs: list[float] | None = None):
+        self.thetas, self.alphas = list(map(float, thetas)), list(map(float, alphas))
+        if not values or len(values) != len(self.thetas) * len(self.alphas):
+            raise ValueError("the values do not fill the grid")
+        self.values, self.stderrs = values, stderrs
 
     @property
-    def sampled(self) -> bool:
-        return any(p.stderr is not None for p in self.points)
+    def points(self) -> list[SurfacePoint]:
+        """The grid as a row-major list of points, built on each access."""
+        stderrs = self.stderrs or [None] * len(self.values)
+        grid = product(self.thetas, self.alphas)
+        return [SurfacePoint(*g, v, e) for g, v, e in zip(grid, self.values, stderrs)]
 
     def min_value(self) -> float:
-        return min(p.value for p in self.points)
+        return min(self.values)
 
     def max_value(self) -> float:
-        return max(p.value for p in self.points)
+        return max(self.values)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        if self.sampled:
-            out.write("theta_rad,alpha_deg,estimate,stderr\n")
-            for p in self.points:
-                err = repr(float(p.stderr)) if p.stderr is not None else ""
-                out.write(f"{p.theta!r},{p.alpha_deg!r},{p.value!r},{err}\n")
+        """The CSV text; each theta and each alpha is formatted once."""
+        alphas = list(map(",{!r},".format, self.alphas))
+        rows = map("".join, product(map(repr, self.thetas), alphas))
+        if self.stderrs is None:
+            head, cells = "theta_rad,alpha_deg,probability\n", map(repr, self.values)
         else:
-            out.write("theta_rad,alpha_deg,probability\n")
-            for p in self.points:
-                out.write(f"{p.theta!r},{p.alpha_deg!r},{p.value!r}\n")
-        return out.getvalue()
+            head = "theta_rad,alpha_deg,estimate,stderr\n"
+            cells = map("{!r},{!r}".format, self.values, self.stderrs)
+        return head + "".join([f"{r}{c}\n" for r, c in zip(rows, cells)])

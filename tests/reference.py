@@ -1,6 +1,7 @@
-"""Independent test references: a click-by-click window simulation, against
-which the sampler's closed-form window cells are tested, a parser for
-``dump_state`` files, and a probe of the norm ``elements.apply`` builds."""
+"""Independent test references: a click-by-click window simulation and a
+per-outcome weighted sum of the window cells, against which the sampler's
+closed-form window cells are tested, a parser for ``dump_state`` files, and
+a probe of the norm ``elements.apply`` builds."""
 from __future__ import annotations
 
 import json
@@ -36,6 +37,35 @@ def sample_shot(settings: qdc.ExperimentSettings, model: mc.DetectionModel,
         if rng.random() < model.dark_probability:
             clicked.add(det)
     return frozenset(clicked)
+
+
+def window_cells(settings: qdc.ExperimentSettings, model: mc.DetectionModel) -> list[float]:
+    """The 6 window cells at the point of ``settings``, in
+    ``window_probability_grid`` order, as a sum over the 8 joint outcomes:
+    each outcome is weighted by the probability that its clicks leave one
+    corroborative and one test click in the cell's category."""
+    eta, d = model.efficiency, model.dark_probability
+    on = 1.0 - (1.0 - eta) * (1.0 - d)
+    # P(only the signal detector fires), P(only one given other one fires)
+    corr_sig, corr_other = on * (1.0 - d), (1.0 - on) * d
+    test_sig, test_other = on * (1.0 - d) ** 3, (1.0 - on) * d * (1.0 - d) ** 2
+    # corroborative signal (row) -> the single click is D_H / D_V (column)
+    corr = ((corr_sig, corr_other), (corr_other, corr_sig))
+    joint = mc.joint_outcome_probabilities(settings)
+    valid = []
+    for k in range(2):
+        for group in qdc.GROUPS:
+            paths = qdc.GROUP_PATHS[group]
+            # the single test click lies in the group with the signal on p
+            # or with a dark count
+            valid.append(sum(
+                joint[4 * c + i] * corr[c][k]
+                * (test_sig * (p in paths) + (len(paths) - (p in paths)) * test_other)
+                for c in range(2) for i, p in enumerate(qdc.TERMINAL_PATHS)))
+    z_c = (1.0 - on) * (1.0 - d)
+    z_t = (1.0 - on) * (1.0 - d) ** 3
+    zero = z_c + z_t - z_c * z_t
+    return valid + [zero, max(1.0 - sum(valid) - zero, 0.0)]
 
 
 def parse_dump(text: str) -> dict[ModePair, complex]:

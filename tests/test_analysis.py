@@ -6,6 +6,7 @@ import pytest
 from qbs_sim import analysis
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
+from qbs_sim.surfaces import CorrelationSurface, SurfacePoint
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 17)
 
@@ -116,21 +117,26 @@ class TestClassicalBoundViolation:
 class TestSurfaceFromCounts:
     def test_matches_analytic_within_4_sigma(self):
         model = mc.DetectionModel(efficiency=1.0, dark_probability=0.0, seed=8)
-        grid = []
-        for i, theta in enumerate(np.linspace(0, 2 * math.pi, 4)):
-            for alpha in (0.0, 45.0, 90.0):
+        thetas, alphas, tables = np.linspace(0, 2 * math.pi, 4), (0.0, 45.0, 90.0), []
+        for i, theta in enumerate(thetas):
+            for alpha in alphas:
                 s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha)
-                grid.append(
-                    (float(theta), alpha, mc.run(s, model, 40_000, stream=i))
-                )
-        surf = analysis.surface_from_counts(grid)
+                tables.append(mc.run(s, model, 40_000, stream=i))
+        surf = analysis.surface_from_counts(thetas, alphas, tables)
         for p in surf.points:
             exact = qdc.closed_form_ia(p.theta, p.alpha_deg)
             assert abs(p.value - exact) < max(4 * p.stderr, 1e-9)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            analysis.surface_from_counts([])
+            analysis.surface_from_counts([], [], [])
+
+    def test_point_without_counts_is_named(self):
+        counts = {c: 0 for c in mc.CATEGORIES}
+        empty = mc.CountTable(counts, 0, 10, 0, 10)
+        full = mc.CountTable({**counts, ("D_H", "A"): 3, ("D_H", "B"): 7}, 10, 0, 0, 10)
+        with pytest.raises(ValueError, match=r"theta=1\.0, alpha=10\.0"):
+            analysis.surface_from_counts([0.0, 1.0], [10.0, 20.0], [full, full, empty, full])
 
 
 class TestCausality:
@@ -193,13 +199,43 @@ def point_bits(points, columns):
     return [tuple(float(v).hex() for v in p[:columns]) for p in points]
 
 
+class TestSurfacePoints:
+    """``points`` is the row-major point list of the surface's columns."""
+
+    def test_analytic(self):
+        s = qdc.ExperimentSettings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
+        thetas, alphas = np.linspace(-1.0, 9.7, 5), [-30.0, 0.0, 45.0, 135.0]
+        surf = qdc.surface(s, thetas, alphas)
+        expected = []
+        for theta in thetas:
+            for alpha in alphas:
+                point = s._replace(theta=float(theta), alpha_deg=alpha)
+                expected.append(SurfacePoint(float(theta), alpha,
+                                             qdc.category_probability(point), None))
+        assert surf.points == expected
+        assert all(type(x) is float for p in surf.points for x in p[:3])
+
+    def test_sampled(self):
+        thetas, alphas = [0.0, 2.0], [10.0, 50.0, 80.0]
+        tables = mc.run_grid(qdc.ExperimentSettings(), mc.DetectionModel(seed=4),
+                             thetas, alphas, 5000)
+        surf = analysis.surface_from_counts(thetas, alphas, tables)
+        points = [(t, a) for t in thetas for a in alphas]
+        assert surf.points == [SurfacePoint(*point, *analysis.estimate(table)[:2])
+                               for point, table in zip(points, tables)]
+
+    def test_values_must_fill_the_grid(self):
+        with pytest.raises(ValueError):
+            CorrelationSurface([0.0, 1.0], [0.0], [0.5])
+        with pytest.raises(ValueError):
+            CorrelationSurface([0.0], [0.0], [])
+
+
 class TestSurfaceCsv:
     def test_round_trip_bit_identical(self):
         model = mc.DetectionModel(seed=2)
-        grid = [
-            (0.3, 45.0, mc.run(qdc.ExperimentSettings(theta=0.3, alpha_deg=45.0), model, 30_000))
-        ]
-        surf = analysis.surface_from_counts(grid)
+        table = mc.run(qdc.ExperimentSettings(theta=0.3, alpha_deg=45.0), model, 30_000)
+        surf = analysis.surface_from_counts([0.3], [45.0], [table])
         text = surf.to_csv()
         assert text.splitlines()[0] == "theta_rad,alpha_deg,estimate,stderr"
         assert csv_bits(text) == point_bits(surf.points, 4)

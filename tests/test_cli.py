@@ -351,13 +351,13 @@ class TestSampledGrid:
         assert code == 0
         model = mc.DetectionModel(efficiency=0.5, dark_probability=0.01, seed=13)
         points = [(float(t), float(a)) for t in thetas for a in alphas]
-        grid = [
-            (t, a, mc.run(qdc.ExperimentSettings(theta=t, alpha_deg=a, basis=qdc.BASIS_DA,
-                                                 input=qdc.INPUT_MIXTURE),
-                          model, 1000, stream=i))
+        tables = [
+            mc.run(qdc.ExperimentSettings(theta=t, alpha_deg=a, basis=qdc.BASIS_DA,
+                                          input=qdc.INPUT_MIXTURE),
+                   model, 1000, stream=i)
             for i, (t, a) in enumerate(points)
         ]
-        assert out == analysis.surface_from_counts(grid).to_csv()
+        assert out == analysis.surface_from_counts(thetas, alphas, tables).to_csv()
 
     def test_bell_matches_point_by_point_runs(self, capsys):
         code, out, _ = run_cli(capsys, "bell", "--shots", "100000", "--seed", "17",
@@ -384,23 +384,25 @@ class TestSampledGrid:
                        f"V_DA = {v_da.value:.4f} +/- {v_da.uncertainty:.4f}\n"
                        f"S = {s:.4f} +/- {sigma:.4f}  ({nsig:.1f} sigma above 2)\n")
 
-    @pytest.mark.parametrize("argv,scans", [
-        (["sweep", "--theta", "0:1:4", "--alpha", "0:90:3", "--shots", "12000",
-          "--seed", "2", "--efficiency", "1"], 1),
-        (["bell", "--shots", "34000", "--seed", "2", "--efficiency", "1"], 2),
+    @pytest.mark.parametrize("argv,scans,rows", [
+        pytest.param(["sweep", "--theta", "0:1:4", "--alpha", "0:90:3", "--shots", "12000",
+                      "--seed", "2", "--efficiency", "1"], 1, 4, id="argv0-1"),
+        pytest.param(["bell", "--shots", "34000", "--seed", "2", "--efficiency", "1"], 2,
+                     2 * cli.BELL_SCAN_POINTS, id="argv1-2"),
     ])
-    def test_grid_evaluated_once_per_scan(self, capsys, monkeypatch, argv, scans):
-        calls = []
-        joint = qdc.joint_probabilities
+    def test_grid_evaluated_once_per_scan(self, capsys, monkeypatch, argv, scans, rows):
+        # one window grid per scan, and its path forms once per theta row
+        calls = {"window_probability_grid": [], "_path_forms": []}
+        for module, name in ((mc, "window_probability_grid"), (qdc, "_path_forms")):
+            def counted(*args, _f=getattr(module, name), _calls=calls[name]):
+                _calls.append(args)
+                return _f(*args)
 
-        def counted(*args):
-            calls.append(args)
-            return joint(*args)
-
-        monkeypatch.setattr(qdc, "joint_probabilities", counted)
+            monkeypatch.setattr(module, name, counted)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert len(calls) == scans
+        assert len(calls["window_probability_grid"]) == scans
+        assert len(calls["_path_forms"]) == rows
 
 
 class TestCausality:

@@ -348,6 +348,48 @@ class TestGrid:
                 mc.run(settings(), model, 100, stream=first_stream)
 
 
+class TestWindowReference:
+    """The grouped window cells against the per-outcome weighted sum of
+    ``reference.window_cells``."""
+
+    @pytest.mark.parametrize("eta,dark", [(0.25, 4.8e-4), (1.0, 0.0), (0.0, 0.0),
+                                          (0.9, 0.2), (0.0, 1.0)])
+    @pytest.mark.parametrize("basis", [qdc.BASIS_HV, qdc.BASIS_DA])
+    @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
+    @pytest.mark.parametrize("scan", [False, True])
+    def test_grid_matches_reference(self, eta, dark, basis, inp, scan):
+        model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
+        if scan:  # shaped like a bell phase scan: 17 phases, one rotation
+            thetas = np.linspace(0.0, 2.0 * math.pi, 17)
+            alphas = [90.0 if basis == qdc.BASIS_HV else 45.0]
+        else:
+            thetas, alphas = np.linspace(-1.0, 9.7, 7), np.linspace(-30.0, 135.0, 6)
+        grid = mc.window_probability_grid(settings(basis=basis, input=inp), model,
+                                          thetas, alphas)
+        assert len(grid) == len(thetas)
+        for theta, row in zip(thetas, grid):
+            assert len(row) == len(alphas)
+            for alpha, cells in zip(alphas, row):
+                ref = reference.window_cells(settings(theta=float(theta), alpha_deg=float(alpha),
+                                                      basis=basis, input=inp), model)
+                np.testing.assert_allclose(cells, ref, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("basis", [qdc.BASIS_HV, qdc.BASIS_DA])
+    @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
+    def test_unnormalized_apparatus_raises(self, monkeypatch, basis, inp):
+        # a fault that scales every compiled amplitude by 1.01: the joint
+        # outcome probabilities then sum to 1.0201 at every point
+        good = qdc._compiled
+
+        def scaled(*key):
+            return tuple((p, *(1.01 * x for x in amps)) for p, *amps in good(*key))
+
+        monkeypatch.setattr(qdc, "_compiled", scaled)
+        with pytest.raises(RuntimeError, match=r"sum to 1\.020"):
+            mc.run_grid(settings(basis=basis, input=inp), mc.DetectionModel(seed=1),
+                        [0.0, 1.0], [0.0, 45.0], 100)
+
+
 class TestEstimate:
     def _table(self, n_a, n_b):
         counts = {c: 0 for c in mc.CATEGORIES}
