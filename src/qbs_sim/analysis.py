@@ -153,14 +153,17 @@ def propagation_delay(
         raise ValueError(f"fiber length must be non-negative, got {fiber_meters}")
     if refractive_index < 1:
         raise ValueError(f"refractive index must be at least 1, got {refractive_index}")
-    return fiber_meters * refractive_index / SPEED_OF_LIGHT * 1e9
+    delay = fiber_meters * refractive_index / SPEED_OF_LIGHT * 1e9
+    if not math.isfinite(delay):
+        raise ValueError(f"fiber delay of {fiber_meters} m at n = {refractive_index} "
+                         "overflows a float")
+    return delay
 
 
 def is_spacelike(e1: SpacetimeEvent, e2: SpacetimeEvent) -> bool:
-    """True iff (c dt)^2 < dx^2, i.e. no light signal can connect the events."""
+    """True iff |c dt| < |dx|, i.e. no light signal can connect the events."""
     dt_s = (e2.time_ns - e1.time_ns) * 1e-9
-    dx = e2.position_m - e1.position_m
-    return (SPEED_OF_LIGHT * dt_s) ** 2 < dx**2
+    return abs(SPEED_OF_LIGHT * dt_s) < abs(e2.position_m - e1.position_m)
 
 
 def causality_report(e_test: SpacetimeEvent, e_corr: SpacetimeEvent) -> str:

@@ -67,6 +67,8 @@ def parse_grid(spec: str) -> list[float]:
         raise UsageError(f"grid needs at least 1 step, got {steps}")
     if steps == 1 and start != stop:
         raise UsageError("single-step grid requires start == stop")
+    if not math.isfinite(stop - start):
+        raise UsageError(f"grid spec {spec!r} spans more than a float holds")
     return linspace(start, stop, steps)
 
 
@@ -94,6 +96,18 @@ def _model(args) -> mc.DetectionModel:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _shots_per_point(shots: int, points: int, what: str) -> int:
+    """``shots`` split evenly over ``points``: at least one window each, and
+    at most the 2**63 - 1 that the sampler's multinomial draw takes."""
+    per_point = shots // points
+    if per_point < 1:
+        raise UsageError(f"--shots {shots} is below the {points} {what}")
+    if per_point >= 1 << 63:
+        raise UsageError(f"--shots {shots} gives {per_point} windows per point, "
+                         "more than the 2**63 - 1 that one draw takes")
+    return per_point
 
 
 def _report_windows(tables):
@@ -133,12 +147,10 @@ def cmd_sweep(args) -> int:
     else:
         from . import analysis, montecarlo as mc
 
+        per_point = _shots_per_point(args.shots, len(thetas) * len(alphas), "grid points")
         model = _model(args)
-        n_points = len(thetas) * len(alphas)
-        if args.shots < n_points:
-            raise UsageError(f"--shots {args.shots} is below the {n_points} grid points")
         print(f"seed: {model.seed}", file=sys.stderr)
-        tables = mc.run_grid(_settings(args), model, thetas, alphas, args.shots // n_points)
+        tables = mc.run_grid(_settings(args), model, thetas, alphas, per_point)
         _report_windows(tables)
         surf = analysis.surface_from_counts(thetas, alphas, tables)
     if args.format == "json":
@@ -155,14 +167,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _scan_visibility(args, model, basis, alpha, basis_index):
+def _scan_visibility(args, model, basis, alpha, basis_index, per_point):
     """Fit one phase scan, drawn in one ``run_grid`` call in which every
     point has its own RNG stream; returns the fit and the count tables."""
     from . import analysis, montecarlo as mc
 
     thetas = linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
     tables = mc.run_grid(qdc.ExperimentSettings(basis=basis, input=args.input), model,
-                         thetas, [alpha], args.shots // (2 * BELL_SCAN_POINTS),
+                         thetas, [alpha], per_point,
                          first_stream=basis_index * BELL_SCAN_POINTS)
     values, errs = [], []
     for theta, table in zip(thetas, tables):
@@ -177,13 +189,11 @@ def _scan_visibility(args, model, basis, alpha, basis_index):
 def cmd_bell(args) -> int:
     from . import analysis
 
-    if args.shots < 2 * BELL_SCAN_POINTS:
-        raise UsageError(f"--shots {args.shots} is below the "
-                         f"{2 * BELL_SCAN_POINTS} scan points")
+    per_point = _shots_per_point(args.shots, 2 * BELL_SCAN_POINTS, "scan points")
     model = _model(args)
     print(f"seed: {model.seed}", file=sys.stderr)
-    v_hv, hv_tables = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, basis_index=0)
-    v_da, da_tables = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, basis_index=1)
+    v_hv, hv_tables = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, 0, per_point)
+    v_da, da_tables = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, 1, per_point)
     _report_windows(hv_tables + da_tables)
     s, sigma = analysis.bell_parameter(v_hv, v_da)
     nsig = analysis.classical_bound_violation(s, sigma) if sigma > 0 else float("inf")

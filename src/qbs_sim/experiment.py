@@ -119,7 +119,8 @@ def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
 def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState:
     """Evolve the configured input through the full apparatus, element by
     element.  This sparse path is the reference: it gives the checkpoint and
-    dumped states, and ``joint_probabilities`` is tested against it."""
+    dumped states and ``montecarlo.joint_outcome_probabilities``, and the
+    compiled group forms are tested against it."""
     chain = test_side_circuit(settings) + [el.polarization_rotator("c", settings.alpha_deg)]
     if settings.input == INPUT_ENTANGLED:
         return el.apply_all(chain, bell_state())
@@ -148,83 +149,65 @@ def _compiled_test_side(basis: str) -> tuple[tuple[tuple[complex, ...], ...], ..
 
 @lru_cache(maxsize=None)
 def _compiled(basis: str, input: str
-              ) -> tuple[tuple[int, complex, complex, complex, complex], ...]:
-    """The input carried through the test side, built once per key: one term
-    ``(path index, A_H, B_H, A_V, B_V)`` per mixture component and terminal
-    mode, where ``u = A_H + exp(i theta) B_H`` is the mode's amplitude with
-    the corroborative photon H and ``w = A_V + exp(i theta) B_V`` with it V,
-    before the rotator.  Each component is scaled by the square root of its
-    mixture weight; terms with no amplitude are dropped."""
+              ) -> tuple[tuple[tuple[float, float, float], ...], ...]:
+    """The input carried through the test side, built once per key: for each
+    group in ``GROUPS`` order, its forms ``(U, W, X)``, each as ``(c0, c1,
+    c2)`` meaning c0 + Re(exp(i theta) (c1 - i c2)).  They sum |u|^2, |w|^2
+    and Re(u conj(w)) over the group's terminal modes and the weighted
+    mixture components, where ``u = A_H + exp(i theta) B_H`` is a mode's
+    amplitude with the corroborative photon H and ``w = A_V + exp(i theta)
+    B_V`` with it V, before the rotator."""
     a, b = _compiled_test_side(basis)
     components = ([(1.0, bell_state())] if input == INPUT_ENTANGLED
                   else mixture_state().components)
-    terms = []
+    forms = [[[0.0, 0.0, 0.0] for _ in range(3)] for _ in GROUPS]
     for weight, state in components:
-        entrance = [[math.sqrt(weight) * state.amplitudes.get((Mode("c", cp), tm), 0j)
+        entrance = [[state.amplitudes.get((Mode("c", cp), tm), 0j)
                      for tm in ENTRANCE_MODES] for cp in POLARIZATIONS]
         for i, mode in enumerate(TERMINAL_MODES):
-            pair = [sum(row[i][j] * x for j, x in enumerate(amps))
-                    for amps in entrance for row in (a, b)]
-            if any(pair):
-                terms.append((TERMINAL_PATHS.index(mode.path), *pair))
-    return tuple(terms)
+            a_h, b_h, a_v, b_v = (sum(row[i][j] * x for j, x in enumerate(amps))
+                                  for amps in entrance for row in (a, b))
+            u, w, x = forms[0 if mode.path in GROUP_PATHS[GROUP_A] else 1]
+            for form, c0, z in (
+                    (u, abs(a_h) ** 2 + abs(b_h) ** 2, 2.0 * a_h.conjugate() * b_h),
+                    (w, abs(a_v) ** 2 + abs(b_v) ** 2, 2.0 * a_v.conjugate() * b_v),
+                    (x, (a_h * a_v.conjugate() + b_h * b_v.conjugate()).real,
+                     b_h * a_v.conjugate() + a_h.conjugate() * b_v)):
+                form[0] += weight * c0
+                form[1] += weight * z.real
+                form[2] -= weight * z.imag
+    return tuple(tuple(map(tuple, group)) for group in forms)
 
 
-def _path_forms(terms, theta: float) -> list[list[float]]:
-    """``[U_p, W_p, X_p]`` for each terminal path p in ``TERMINAL_PATHS``
-    order at phase ``theta``: the sums of |u|^2, |w|^2 and Re(u conj(w)) over
-    the path's polarizations and the mixture components."""
-    e = cmath.exp(1j * theta)
-    forms = [[0.0, 0.0, 0.0] for _ in TERMINAL_PATHS]
-    for p, a_h, b_h, a_v, b_v in terms:
-        u, w = a_h + e * b_h, a_v + e * b_v
-        form = forms[p]
-        form[0] += u.real * u.real + u.imag * u.imag
-        form[1] += w.real * w.real + w.imag * w.imag
-        form[2] += u.real * w.real + u.imag * w.imag
-    return forms
+def _group_forms(compiled, theta: float) -> list[list[float]]:
+    """``[U, W, X]`` of each group in ``GROUPS`` order at phase ``theta``."""
+    c, s = math.cos(theta), math.sin(theta)
+    return [[c0 + c1 * c + c2 * s for c0, c1, c2 in group] for group in compiled]
 
 
 def _rotator_weights(alpha_deg: float) -> tuple[tuple[float, float, float], ...]:
-    """Weights of ``(U_p, W_p, X_p)`` in P(H, p) and in P(V, p) behind the
-    rotator: ``P(H, p) = c^2 U_p - 2cs X_p + s^2 W_p`` and ``P(V, p) = s^2 U_p
-    + 2cs X_p + c^2 W_p`` with c = cos(alpha), s = sin(alpha)."""
+    """Weights of a group's ``(U, W, X)`` in P(H, group) and in P(V, group)
+    behind the rotator: ``P(H, g) = c^2 U - 2cs X + s^2 W`` and ``P(V, g) =
+    s^2 U + 2cs X + c^2 W`` with c = cos(alpha), s = sin(alpha)."""
     a = math.radians(alpha_deg)
     c, s = math.cos(a), math.sin(a)
     cc, ss, cs2 = c * c, s * s, 2.0 * c * s
     return (cc, ss, -cs2), (ss, cc, cs2)
 
 
-def joint_probabilities(settings: ExperimentSettings, thetas, alphas_deg) -> list:
-    """Probabilities of (corroborative polarization, terminal path in
-    ``TERMINAL_PATHS`` order) on the whole grid, as nested lists indexed
-    ``[theta][alpha][pol][path]``.  The grid replaces ``settings.theta`` and
-    ``settings.alpha_deg``."""
-    terms = _compiled(settings.basis, settings.input)
-    weights = [_rotator_weights(a) for a in alphas_deg]
-    grid = []
-    for theta in thetas:
-        forms = _path_forms(terms, theta)
-        grid.append([[[ku * u + kw * w + kx * x for u, w, x in forms]
-                      for ku, kw, kx in pol_weights] for pol_weights in weights])
-    return grid
-
-
 def _categories(settings: ExperimentSettings, corroborative: str, group: str,
                 thetas, alphas_deg) -> list[float]:
     """Conditional probability of one category at each grid point, row-major
-    in theta then alpha.  The paths are summed into the group and into the
-    corroborative marginal before the alpha loop, so each point costs one
-    division."""
-    ci, _ = _category_index(corroborative, group)
-    terms = _compiled(settings.basis, settings.input)
+    in theta then alpha: the group's forms over the sum of both groups',
+    each weighted by the rotator, so each point costs one division."""
+    ci, gi = _category_index(corroborative, group)
+    compiled = _compiled(settings.basis, settings.input)
     weights = [_rotator_weights(a)[ci] for a in alphas_deg]
-    members = [i for i, p in enumerate(TERMINAL_PATHS) if p in GROUP_PATHS[group]]
     out = []
     for theta in thetas:
-        forms = _path_forms(terms, theta)
-        g = [sum(forms[i][k] for i in members) for k in range(3)]
-        t = [sum(form[k] for form in forms) for k in range(3)]
+        forms = _group_forms(compiled, theta)
+        g = forms[gi]
+        t = [x + y for x, y in zip(*forms)]
         for ku, kw, kx in weights:
             out.append((ku * g[0] + kw * g[1] + kx * g[2])
                        / (ku * t[0] + kw * t[1] + kx * t[2]))

@@ -25,6 +25,7 @@ from operator import index
 from typing import NamedTuple
 
 from . import experiment as qdc
+from .states import POLARIZATIONS, MixedState
 
 CATEGORIES = tuple(
     (corr, grp) for corr in qdc.CORROBORATIVE_DETECTORS for grp in qdc.GROUPS
@@ -71,13 +72,16 @@ class CountTable(NamedTuple):
 
 
 def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]:
-    """Length-8 list over (corroborative pol x terminal path) outcomes."""
-    (h, v), = qdc.joint_probabilities(settings, [settings.theta], [settings.alpha_deg])[0]
-    probs = h + v
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"joint outcome probabilities sum to {total}")
-    return [p / total for p in probs]
+    """Length-8 list over (corroborative pol x terminal path) outcomes, summed
+    from the sparse reference state of ``experiment.build_qdc_state``."""
+    state = qdc.build_qdc_state(settings)
+    components = state.components if isinstance(state, MixedState) else [(1.0, state)]
+    probs = [0.0] * 8
+    for weight, component in components:
+        for (cm, tm), a in component.amplitudes.items():
+            probs[4 * POLARIZATIONS.index(cm.pol) + qdc.TERMINAL_PATHS.index(tm.path)] += (
+                weight * abs(a) ** 2)
+    return probs
 
 
 def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionModel,
@@ -90,9 +94,9 @@ def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionMo
     Given the joint outcome the two sides click independently.  A side's
     signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
     of its other detectors with the dark probability ``d``.  Each cell is
-    linear in the path forms of ``experiment``: they are summed into the XOR
-    groups once per theta, and the click weights folded into the rotator
-    weights once per alpha, so a point costs four 3-term dot products.
+    linear in the two XOR groups' forms of ``experiment``, evaluated once per
+    theta, and the click weights are folded into the rotator weights once per
+    alpha, so a point costs four 3-term dot products.
     """
     eta, d = model.efficiency, model.dark_probability
     on = 1.0 - (1.0 - eta) * (1.0 - d)
@@ -111,15 +115,10 @@ def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionMo
     rotators = [[corr_sig * x + corr_other * y for x, y in zip(h, v)]
                 + [corr_other * x + corr_sig * y for x, y in zip(h, v)] + [h[0] + v[0]]
                 for h, v in map(qdc._rotator_weights, alphas_deg)]
-    # the indices of group A's two terminal paths, then of group B's
-    a1, a2, b1, b2 = (qdc.TERMINAL_PATHS.index(p) for g in qdc.GROUPS
-                      for p in sorted(qdc.GROUP_PATHS[g]))
-    terms = qdc._compiled(settings.basis, settings.input)
+    compiled = qdc._compiled(settings.basis, settings.input)
     grid = []
     for theta in thetas:
-        f = qdc._path_forms(terms, theta)
-        au, aw, ax = f[a1][0] + f[a2][0], f[a1][1] + f[a2][1], f[a1][2] + f[a2][2]
-        bu, bw, bx = f[b1][0] + f[b2][0], f[b1][1] + f[b2][1], f[b1][2] + f[b2][2]
+        (au, aw, ax), (bu, bw, bx) = qdc._group_forms(compiled, theta)
         # each group's forms, weighted by the test side's single-click
         # probabilities with the signal on its own paths or on the other's
         qau, qaw, qax = own * au + other * bu, own * aw + other * bw, own * ax + other * bx

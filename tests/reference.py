@@ -41,9 +41,10 @@ def sample_shot(settings: qdc.ExperimentSettings, model: mc.DetectionModel,
 
 def window_cells(settings: qdc.ExperimentSettings, model: mc.DetectionModel) -> list[float]:
     """The 6 window cells at the point of ``settings``, in
-    ``window_probability_grid`` order, as a sum over the 8 joint outcomes:
-    each outcome is weighted by the probability that its clicks leave one
-    corroborative and one test click in the cell's category."""
+    ``window_probability_grid`` order, as a sum over the 8 joint outcomes of
+    the sparse reference state: each outcome is weighted by the probability
+    that its clicks leave one corroborative and one test click in the cell's
+    category."""
     eta, d = model.efficiency, model.dark_probability
     on = 1.0 - (1.0 - eta) * (1.0 - d)
     # P(only the signal detector fires), P(only one given other one fires)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -160,6 +161,20 @@ class TestCausality:
         e2 = analysis.SpacetimeEvent(40.0, 2.0)
         assert analysis.is_spacelike(e1, e2) == analysis.is_spacelike(e2, e1)
 
+    def test_huge_separations_do_not_overflow(self):
+        origin = analysis.SpacetimeEvent(0.0, 0.0)
+        assert not analysis.is_spacelike(origin, analysis.SpacetimeEvent(20.0, 1e300))
+        assert analysis.is_spacelike(origin, analysis.SpacetimeEvent(1e200, 20.0))
+        assert analysis.is_spacelike(origin, analysis.SpacetimeEvent(-1.7e308, 1.7e308))
+
+    def test_same_answers_as_squared_comparison(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            x, t = (rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6) for _ in range(2))
+            e = analysis.SpacetimeEvent(x, t)
+            squared = (analysis.SPEED_OF_LIGHT * t * 1e-9) ** 2 < x ** 2
+            assert analysis.is_spacelike(analysis.SpacetimeEvent(0.0, 0.0), e) == squared
+
     def test_report_fields(self):
         import json
 
@@ -179,6 +194,10 @@ class TestPropagationDelay:
 
     def test_zero_length(self):
         assert analysis.propagation_delay(0.0) == 0.0
+
+    def test_overflowing_delay_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            analysis.propagation_delay(1e308, 1e10)
 
     def test_55m(self):
         assert analysis.propagation_delay(55.0, 1.468) == pytest.approx(269.3, abs=0.1)

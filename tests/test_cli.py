@@ -62,9 +62,19 @@ class TestParseGrid:
             cli.parse_grid("0:1:1")
 
     def test_malformed_rejected(self):
-        for bad in ("0:1", "a:b:c", "0:1:0", "1:2:-3"):
+        # the last two span more than a float holds, so every step is inf or nan
+        for bad in ("0:1", "a:b:c", "0:1:0", "1:2:-3", "-1e308:1e308:3", "1.7e308:-1.7e308:2"):
             with pytest.raises(cli.UsageError):
                 cli.parse_grid(bad)
+
+    def test_widest_finite_span_accepted(self):
+        assert cli.parse_grid("-8e307:8e307:3") == [-8e307, 0.0, 8e307]
+
+    @pytest.mark.parametrize("axis", ["--theta", "--alpha"])
+    @pytest.mark.parametrize("sampled", [[], ["--shots", "1000", "--seed", "1"]])
+    def test_overflowing_grid_exits_1(self, capsys, axis, sampled):
+        err = assert_usage_error(capsys, "sweep", f"{axis}=-1e308:1e308:3", *sampled)
+        assert "spans more than a float" in err
 
     @pytest.mark.parametrize("spec", [
         "0:6.283185307179586:25", "0:90:13", "0:90:17", "0:6.283185307179586:17",
@@ -150,6 +160,24 @@ class TestSweep:
     def test_fewer_shots_than_grid_points_exits_1(self, capsys):
         assert_usage_error(capsys, "sweep", "--theta", "0:1:5", "--alpha", "0:90:3",
                            "--shots", "14")
+
+    @pytest.mark.parametrize("seed", [["--seed", "1"], []])
+    def test_shots_beyond_int64_per_point_exit_1(self, capsys, monkeypatch, seed):
+        # rejected before a fresh seed is drawn
+        import secrets
+
+        monkeypatch.setattr(secrets, "randbits", lambda k: pytest.fail("seed drawn"))
+        err = assert_usage_error(capsys, "sweep", "--theta", "0:1:2", "--alpha", "0:90:2",
+                                 "--shots", "100000000000000000000000", *seed)
+        assert "windows per point" in err
+        assert_usage_error(capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
+                           "--shots", str(2**63), *seed)
+
+    def test_int64_shots_per_point_accepted(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--theta", "0:0:1", "--alpha", "0:0:1",
+                                 "--shots", str(2**63 - 1), "--seed", "1")
+        assert code == 0
+        assert window_counts(err)["shots"] == 2**63 - 1
 
     def test_unwritable_dump_state_exits_1(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -303,6 +331,15 @@ class TestBell:
     def test_fewer_shots_than_scan_points_exits_1(self, capsys):
         assert_usage_error(capsys, "bell", "--shots", "33")
 
+    @pytest.mark.parametrize("seed", [["--seed", "1"], []])
+    def test_shots_beyond_int64_per_point_exit_1(self, capsys, monkeypatch, seed):
+        import secrets
+
+        monkeypatch.setattr(secrets, "randbits", lambda k: pytest.fail("seed drawn"))
+        for shots in ("100000000000000000000000", str(2 * cli.BELL_SCAN_POINTS * 2**63)):
+            err = assert_usage_error(capsys, "bell", "--shots", shots, *seed)
+            assert "windows per point" in err
+
     def test_format_flag_removed(self, capsys):
         assert_usage_error(capsys, "bell", "--format", "csv")
 
@@ -391,9 +428,9 @@ class TestSampledGrid:
                      2 * cli.BELL_SCAN_POINTS, id="argv1-2"),
     ])
     def test_grid_evaluated_once_per_scan(self, capsys, monkeypatch, argv, scans, rows):
-        # one window grid per scan, and its path forms once per theta row
-        calls = {"window_probability_grid": [], "_path_forms": []}
-        for module, name in ((mc, "window_probability_grid"), (qdc, "_path_forms")):
+        # one window grid per scan, and its group forms once per theta row
+        calls = {"window_probability_grid": [], "_group_forms": []}
+        for module, name in ((mc, "window_probability_grid"), (qdc, "_group_forms")):
             def counted(*args, _f=getattr(module, name), _calls=calls[name]):
                 _calls.append(args)
                 return _f(*args)
@@ -402,7 +439,7 @@ class TestSampledGrid:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
         assert len(calls["window_probability_grid"]) == scans
-        assert len(calls["_path_forms"]) == rows
+        assert len(calls["_group_forms"]) == rows
 
 
 class TestCausality:
@@ -423,6 +460,20 @@ class TestCausality:
         assert code == 0
         rep = json.loads(out[out.index("{"):])
         assert rep["spacelike"] is True
+
+    @pytest.mark.parametrize("flag,value,spacelike", [
+        ("--delta-t", "1e300", False), ("--delta-t", "-1.7e308", False),
+        ("--delta-x", "1e200", True), ("--delta-x", "-1.7e308", True),
+    ])
+    def test_huge_finite_separation(self, capsys, flag, value, spacelike):
+        code, out, err = run_cli(capsys, "causality", f"{flag}={value}")
+        assert code == 0 and err == ""
+        assert json.loads(out)["spacelike"] is spacelike
+
+    def test_overflowing_fiber_delay_exits_1(self, capsys):
+        err = assert_usage_error(capsys, "causality", "--fiber-length", "1e308",
+                                 "--refractive-index", "1e10")
+        assert "fiber delay" in err
 
     def test_fiber_delay_printed(self, capsys):
         code, out, err = run_cli(capsys, "causality", "--fiber-length", "50")

@@ -6,6 +6,7 @@ import pytest
 import reference
 from qbs_sim import elements as el
 from qbs_sim import experiment as qdc
+from qbs_sim import montecarlo as mc
 from qbs_sim.states import H, V, Mode, MixedState, fidelity
 
 
@@ -13,13 +14,22 @@ def settings(**kw):
     return qdc.ExperimentSettings(**kw)
 
 
+def compiled_joint(s, thetas, alphas):
+    """P(corroborative polarization, test group) on the grid from the compiled
+    group forms, indexed ``[theta][alpha][pol][group]``.  Unlike the window
+    cells it is not divided by its sum, so a sum-to-one check can fail."""
+    compiled = qdc._compiled(s.basis, s.input)
+    forms = [qdc._group_forms(compiled, float(t)) for t in thetas]
+    weights = [qdc._rotator_weights(float(a)) for a in alphas]
+    return np.array([[[[np.dot(k, f) for f in row] for k in pol_weights]
+                      for pol_weights in weights] for row in forms])
+
+
 def group_joint(s, corroborative, group):
-    """P(corroborative detector, test group) at the point of ``s``, summed
-    from the joint outcome probabilities."""
-    row = qdc.joint_probabilities(s, [s.theta], [s.alpha_deg])[0][0][
-        qdc.CORROBORATIVE_DETECTORS.index(corroborative)]
-    return sum(p for p, path in zip(row, qdc.TERMINAL_PATHS)
-               if path in qdc.GROUP_PATHS[group])
+    """P(corroborative detector, test group) at the point of ``s``, from the
+    compiled group forms."""
+    return compiled_joint(s, [s.theta], [s.alpha_deg])[0, 0][
+        qdc.CORROBORATIVE_DETECTORS.index(corroborative), qdc.GROUPS.index(group)]
 
 
 class TestBuildState:
@@ -244,15 +254,25 @@ class TestCompiledEquivalence:
 
     @pytest.mark.parametrize("basis,input", cases)
     def test_joint_grid_matches_reference(self, basis, input):
+        # the compiled group joint, and the window cells of ideal detectors,
+        # which are that joint divided by its sum
         s = settings(basis=basis, input=input)
-        batched = np.array(qdc.joint_probabilities(s, self.thetas, self.alphas))
-        assert batched.shape == (len(self.thetas), len(self.alphas), 2, 4)
+        batched = compiled_joint(s, self.thetas, self.alphas)
+        assert batched.shape == (len(self.thetas), len(self.alphas), 2, 2)
+        ideal = np.array(mc.window_probability_grid(
+            s, mc.DetectionModel(efficiency=1.0, dark_probability=0.0),
+            self.thetas, self.alphas))
+        in_group = [[p in qdc.GROUP_PATHS[grp] for p in qdc.TERMINAL_PATHS]
+                    for grp in qdc.GROUPS]
         for i, theta in enumerate(self.thetas):
             for j, alpha in enumerate(self.alphas):
                 ref = reference_joint(
                     s._replace(theta=float(theta), alpha_deg=float(alpha))
                 )
-                assert np.abs(batched[i, j] - ref).max() <= 1e-12
+                by_group = np.array([[row[g].sum() for g in in_group] for row in ref])
+                assert np.abs(batched[i, j] - by_group).max() <= 1e-12
+                assert np.abs(ideal[i, j, :4] - by_group.ravel()).max() <= 1e-12
+                assert np.abs(ideal[i, j, 4:]).max() <= 1e-12
 
     @pytest.mark.parametrize("basis,input", cases)
     def test_every_category_matches_reference(self, basis, input):
@@ -296,14 +316,17 @@ class TestCompiledEquivalence:
     def test_no_signalling(self, basis, input):
         # neither photon's own statistics may depend on the setting at the
         # other side: the corroborative marginal not on theta, the test
-        # photon's path marginal not on alpha
-        joint = np.array(qdc.joint_probabilities(
-            settings(basis=basis, input=input),
-            np.linspace(-1.0, 10.0, 23), np.linspace(-30.0, 150.0, 19)))
-        corroborative = joint.sum(axis=3)  # [theta][alpha][pol]
-        test_path = joint.sum(axis=2)      # [theta][alpha][path]
-        assert np.abs(corroborative - corroborative[:1]).max() <= 1e-12
-        assert np.abs(test_path - test_path[:, :1]).max() <= 1e-12
+        # photon's group marginal not on alpha, and on the reference path
+        # its terminal-path marginal not on alpha either
+        s = settings(basis=basis, input=input)
+        thetas, alphas = np.linspace(-1.0, 10.0, 23), np.linspace(-30.0, 150.0, 19)
+        for joint in (compiled_joint(s, thetas, alphas), np.array([
+                [reference_joint(s._replace(theta=float(t), alpha_deg=float(a)))
+                 for a in alphas] for t in thetas])):
+            corroborative = joint.sum(axis=3)  # [theta][alpha][pol]
+            test_side = joint.sum(axis=2)      # [theta][alpha][group or path]
+            assert np.abs(corroborative - corroborative[:1]).max() <= 1e-12
+            assert np.abs(test_side - test_side[:, :1]).max() <= 1e-12
 
     def test_grid_builds_no_elements_once_compiled(self, monkeypatch):
         qdc.surface(settings(basis=qdc.BASIS_DA), self.thetas, self.alphas)

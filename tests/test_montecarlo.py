@@ -377,12 +377,14 @@ class TestWindowReference:
     @pytest.mark.parametrize("basis", [qdc.BASIS_HV, qdc.BASIS_DA])
     @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
     def test_unnormalized_apparatus_raises(self, monkeypatch, basis, inp):
-        # a fault that scales every compiled amplitude by 1.01: the joint
+        # a fault that scales every compiled amplitude by 1.01, so every
+        # coefficient of the quadratic group forms by 1.0201: the joint
         # outcome probabilities then sum to 1.0201 at every point
         good = qdc._compiled
 
         def scaled(*key):
-            return tuple((p, *(1.01 * x for x in amps)) for p, *amps in good(*key))
+            return tuple(tuple(tuple(1.0201 * c for c in form) for form in group)
+                         for group in good(*key))
 
         monkeypatch.setattr(qdc, "_compiled", scaled)
         with pytest.raises(RuntimeError, match=r"sum to 1\.020"):
