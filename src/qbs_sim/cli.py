@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from functools import lru_cache
 
@@ -29,6 +30,8 @@ EXIT_USAGE = 1
 EXIT_FAILURE = 2
 #: phase-scan points per basis in ``bell``
 BELL_SCAN_POINTS = 17
+#: most points in a grid (sweep axis, sweep, verify's oracle), checked before building
+MAX_GRID_POINTS = 1_000_000
 
 
 class UsageError(ValueError):
@@ -37,7 +40,12 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Reports bad arguments as a ``UsageError``, so they exit 1 with one
-    ``error:`` line like every other validation error."""
+    ``error:`` line like every other validation error.  A ``-`` followed by a
+    digit or ``.`` starts a value, so ``--theta -1:1:3`` works."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise UsageError(message)
@@ -65,6 +73,8 @@ def parse_grid(spec: str) -> list[float]:
         raise UsageError(f"grid spec {spec!r} has a non-finite endpoint")
     if steps < 1:
         raise UsageError(f"grid needs at least 1 step, got {steps}")
+    if steps > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {steps} steps, more than {MAX_GRID_POINTS}")
     if steps == 1 and start != stop:
         raise UsageError("single-step grid requires start == stop")
     if not math.isfinite(stop - start):
@@ -135,6 +145,9 @@ def _write(args, text: str):
 def cmd_sweep(args) -> int:
     thetas = parse_grid(args.theta)
     alphas = parse_grid(args.alpha)
+    if len(thetas) * len(alphas) > MAX_GRID_POINTS:
+        raise UsageError(f"grid has {len(thetas)} x {len(alphas)} points, "
+                         f"more than {MAX_GRID_POINTS}")
     if args.dump_state and args.input != qdc.INPUT_ENTANGLED:
         raise UsageError("--dump-state requires the entangled input")
     if args.shots is None:
@@ -153,17 +166,13 @@ def cmd_sweep(args) -> int:
         tables = mc.run_grid(_settings(args), model, thetas, alphas, per_point)
         _report_windows(tables)
         surf = analysis.surface_from_counts(thetas, alphas, tables)
-    if args.format == "json":
-        import json
-        payload = json.dumps([p._asdict() for p in surf.points], indent=2)
-    else:
-        payload = surf.to_csv()
+    payload = surf.to_json() if args.format == "json" else surf.to_csv()
     if args.dump_state:  # first, so a bad path fails before the payload is out
         state = qdc.build_qdc_state(_settings(args, thetas[0], alphas[0]))
         _write_file(args.dump_state, dump_state(state))
     _write(args, payload)
-    print(f"points: {len(surf.values)}  min: {surf.min_value():.6f}  "
-          f"max: {surf.max_value():.6f}", file=sys.stderr)
+    print(f"points: {len(surf.values)}  min: {min(surf.values):.6f}  "
+          f"max: {max(surf.values):.6f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -176,14 +185,9 @@ def _scan_visibility(args, model, basis, alpha, basis_index, per_point):
     tables = mc.run_grid(qdc.ExperimentSettings(basis=basis, input=args.input), model,
                          thetas, [alpha], per_point,
                          first_stream=basis_index * BELL_SCAN_POINTS)
-    values, errs = [], []
-    for theta, table in zip(thetas, tables):
-        est = analysis.estimate(table)
-        if not est.defined:
-            raise analysis.FitError(f"no conditioned counts at theta={theta}")
-        values.append(est.value)
-        errs.append(max(est.stderr, 1e-6))
-    return analysis.fit_visibility(thetas, values, errs), tables
+    surf = analysis.surface_from_counts(thetas, [alpha], tables)
+    errs = [max(e, 1e-6) for e in surf.stderrs]
+    return analysis.fit_visibility(thetas, surf.values, errs), tables
 
 
 def cmd_bell(args) -> int:
@@ -196,7 +200,7 @@ def cmd_bell(args) -> int:
     v_da, da_tables = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, 1, per_point)
     _report_windows(hv_tables + da_tables)
     s, sigma = analysis.bell_parameter(v_hv, v_da)
-    nsig = analysis.classical_bound_violation(s, sigma) if sigma > 0 else float("inf")
+    nsig = analysis.classical_bound_violation(s, sigma)
     _write(args,
            f"V_HV = {v_hv.value:.4f} +/- {v_hv.uncertainty:.4f}\n"
            f"V_DA = {v_da.value:.4f} +/- {v_da.uncertainty:.4f}\n"
@@ -242,6 +246,9 @@ def cmd_verify(args) -> int:
 
     if args.grid < 2:
         raise UsageError(f"--grid must be at least 2, got {args.grid}")
+    n_alpha = max(args.grid // 2, 2)  # of the closed-form oracle grid
+    if args.grid * n_alpha > MAX_GRID_POINTS:
+        raise UsageError(f"--grid {args.grid} gives more than {MAX_GRID_POINTS} points")
     thetas = linspace(0.0, 2.0 * math.pi, args.grid)
     # checkpoint fidelities along the apparatus
     dev_pdbs = dev_erasers = dev_rot = 0.0
@@ -275,7 +282,7 @@ def cmd_verify(args) -> int:
 
     # closed-form oracle over a coarse grid
     surf = qdc.surface(qdc.ExperimentSettings(), thetas,
-                       linspace(0.0, 90.0, max(args.grid // 2, 2)))
+                       linspace(0.0, 90.0, n_alpha))
     oracle = [qdc.closed_form_ia(t, a) for t in surf.thetas for a in surf.alphas]
     dev_oracle = max(abs(v - ref) for v, ref in zip(surf.values, oracle))
     report("closed-form correlation oracle", dev_oracle, 1e-10)

@@ -1,20 +1,17 @@
-"""Correlation surfaces over a (theta, alpha) grid and their CSV form.
+"""Correlation surfaces over a (theta, alpha) grid and their CSV and JSON forms.
 
 Analytic surfaces serialize as ``theta_rad,alpha_deg,probability``; sampled
-surfaces add a standard-error column (``...,estimate,stderr``).  Floats are
-written with ``repr`` so a round trip through CSV is bit-identical.
+surfaces add a standard-error column (``...,estimate,stderr``).  The JSON form
+is a list with one ``{"theta", "alpha_deg", "value", "stderr"}`` object per
+point, row-major, with the bytes of ``json.dumps(..., indent=2)``; ``stderr``
+is ``null`` on an analytic surface.  Both forms are written from the columns,
+each theta and each alpha formatted once.  Floats are written with ``repr``
+(which ``json`` also uses), so a round trip through either form is
+bit-identical.
 """
 from __future__ import annotations
 
-from itertools import product
-from typing import NamedTuple
-
-
-class SurfacePoint(NamedTuple):
-    theta: float
-    alpha_deg: float
-    value: float
-    stderr: float | None
+from itertools import product, repeat
 
 
 class CorrelationSurface:
@@ -29,19 +26,6 @@ class CorrelationSurface:
             raise ValueError("the values do not fill the grid")
         self.values, self.stderrs = values, stderrs
 
-    @property
-    def points(self) -> list[SurfacePoint]:
-        """The grid as a row-major list of points, built on each access."""
-        stderrs = self.stderrs or [None] * len(self.values)
-        grid = product(self.thetas, self.alphas)
-        return [SurfacePoint(*g, v, e) for g, v, e in zip(grid, self.values, stderrs)]
-
-    def min_value(self) -> float:
-        return min(self.values)
-
-    def max_value(self) -> float:
-        return max(self.values)
-
     def to_csv(self) -> str:
         """The CSV text; each theta and each alpha is formatted once."""
         alphas = list(map(",{!r},".format, self.alphas))
@@ -52,3 +36,11 @@ class CorrelationSurface:
             head = "theta_rad,alpha_deg,estimate,stderr\n"
             cells = map("{!r},{!r}".format, self.values, self.stderrs)
         return head + "".join([f"{r}{c}\n" for r, c in zip(rows, cells)])
+
+    def to_json(self) -> str:
+        """The JSON text; each theta and each alpha is formatted once."""
+        alphas = list(map('\n    "alpha_deg": {!r},\n    "value": '.format, self.alphas))
+        rows = map("".join, product(map('{{\n    "theta": {!r},'.format, self.thetas), alphas))
+        stderrs = repeat("null") if self.stderrs is None else map(repr, self.stderrs)
+        return "[\n  " + ",\n  ".join([f'{r}{v!r},\n    "stderr": {e}\n  }}'
+                                       for r, v, e in zip(rows, self.values, stderrs)]) + "\n]"

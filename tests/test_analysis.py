@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from qbs_sim import analysis
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
-from qbs_sim.surfaces import CorrelationSurface, SurfacePoint
+from qbs_sim.surfaces import CorrelationSurface
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 17)
 
@@ -124,9 +126,10 @@ class TestSurfaceFromCounts:
                 s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha)
                 tables.append(mc.run(s, model, 40_000, stream=i))
         surf = analysis.surface_from_counts(thetas, alphas, tables)
-        for p in surf.points:
-            exact = qdc.closed_form_ia(p.theta, p.alpha_deg)
-            assert abs(p.value - exact) < max(4 * p.stderr, 1e-9)
+        points = zip(product(surf.thetas, surf.alphas), surf.values, surf.stderrs)
+        for (theta, alpha), value, stderr in points:
+            exact = qdc.closed_form_ia(theta, alpha)
+            assert abs(value - exact) < max(4 * stderr, 1e-9)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -176,8 +179,6 @@ class TestCausality:
             assert analysis.is_spacelike(analysis.SpacetimeEvent(0.0, 0.0), e) == squared
 
     def test_report_fields(self):
-        import json
-
         rep = json.loads(
             analysis.causality_report(
                 analysis.SpacetimeEvent(0.0, 0.0), analysis.SpacetimeEvent(20.0, 20.0)
@@ -214,40 +215,85 @@ def csv_bits(text):
             for line in text.splitlines()[1:]]
 
 
-def point_bits(points, columns):
-    return [tuple(float(v).hex() for v in p[:columns]) for p in points]
+def column_bits(surf):
+    """The data rows that a surface's columns give, each float as its exact
+    bits."""
+    columns = [surf.values] + ([] if surf.stderrs is None else [surf.stderrs])
+    return [tuple(x.hex() for x in (*point, *cells))
+            for point, *cells in zip(product(surf.thetas, surf.alphas), *columns)]
 
 
-class TestSurfacePoints:
-    """``points`` is the row-major point list of the surface's columns."""
+def json_dumps_of_columns(surf):
+    """``json.dumps`` of one dict per point, built from the columns."""
+    stderrs = surf.stderrs or [None] * len(surf.values)
+    points = zip(product(surf.thetas, surf.alphas), surf.values, stderrs)
+    return json.dumps([{"theta": t, "alpha_deg": a, "value": v, "stderr": e}
+                       for (t, a), v, e in points], indent=2)
 
+
+class TestSurfaceColumns:
     def test_analytic(self):
         s = qdc.ExperimentSettings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
         thetas, alphas = np.linspace(-1.0, 9.7, 5), [-30.0, 0.0, 45.0, 135.0]
         surf = qdc.surface(s, thetas, alphas)
-        expected = []
-        for theta in thetas:
-            for alpha in alphas:
-                point = s._replace(theta=float(theta), alpha_deg=alpha)
-                expected.append(SurfacePoint(float(theta), alpha,
-                                             qdc.category_probability(point), None))
-        assert surf.points == expected
-        assert all(type(x) is float for p in surf.points for x in p[:3])
+        assert surf.thetas == thetas.tolist() and surf.alphas == alphas
+        assert surf.stderrs is None
+        assert surf.values == [
+            qdc.category_probability(s._replace(theta=float(theta), alpha_deg=alpha))
+            for theta in thetas for alpha in alphas]
+        assert all(type(x) is float for x in surf.thetas + surf.alphas + surf.values)
 
     def test_sampled(self):
         thetas, alphas = [0.0, 2.0], [10.0, 50.0, 80.0]
         tables = mc.run_grid(qdc.ExperimentSettings(), mc.DetectionModel(seed=4),
                              thetas, alphas, 5000)
         surf = analysis.surface_from_counts(thetas, alphas, tables)
-        points = [(t, a) for t in thetas for a in alphas]
-        assert surf.points == [SurfacePoint(*point, *analysis.estimate(table)[:2])
-                               for point, table in zip(points, tables)]
+        estimates = [analysis.estimate(table) for table in tables]
+        assert (surf.thetas, surf.alphas) == (thetas, alphas)
+        assert surf.values == [e.value for e in estimates]
+        assert surf.stderrs == [e.stderr for e in estimates]
 
     def test_values_must_fill_the_grid(self):
         with pytest.raises(ValueError):
             CorrelationSurface([0.0, 1.0], [0.0], [0.5])
         with pytest.raises(ValueError):
             CorrelationSurface([0.0], [0.0], [])
+
+
+class TestSurfaceJson:
+    """``to_json`` writes the bytes of ``json.dumps(..., indent=2)`` of one
+    dict per point."""
+
+    @pytest.mark.parametrize("n_theta,n_alpha", [(1, 1), (1, 5), (5, 1), (7, 4)])
+    @pytest.mark.parametrize("basis", (qdc.BASIS_HV, qdc.BASIS_DA))
+    def test_analytic(self, n_theta, n_alpha, basis):
+        s = qdc.ExperimentSettings(basis=basis, input=qdc.INPUT_MIXTURE)
+        surf = qdc.surface(s, np.linspace(-1.0, 9.7, n_theta),
+                           np.linspace(-30.0, 135.0, n_alpha))
+        text = surf.to_json()
+        assert text == json_dumps_of_columns(surf)
+        assert '"stderr": null' in text
+
+    @pytest.mark.parametrize("n_theta,n_alpha", [(1, 1), (1, 3), (4, 1), (3, 3)])
+    def test_sampled(self, n_theta, n_alpha):
+        thetas = np.linspace(0.0, 6.0, n_theta).tolist()
+        alphas = np.linspace(10.0, 80.0, n_alpha).tolist()
+        tables = mc.run_grid(qdc.ExperimentSettings(), mc.DetectionModel(seed=6),
+                             thetas, alphas, 3000)
+        surf = analysis.surface_from_counts(thetas, alphas, tables)
+        assert surf.to_json() == json_dumps_of_columns(surf)
+
+    def test_signed_zeros_and_exponents(self):
+        # signed zeros, and floats whose repr has an exponent
+        thetas, alphas = [-0.0, 1e-300, 2.5e22], [-0.0, 5e-324, -1e16]
+        values = [0.0, -0.0, 1e-17, 1e-05, 0.5, 1.0, 3e-310, 7e-8, 0.25]
+        stderrs = [1e-9, 0.0, 2e-06, -0.0, 1e-300, 0.1, 0.5, 1e-16, 4e-05]
+        for errs in (None, stderrs):
+            surf = CorrelationSurface(thetas, alphas, values, errs)
+            text = surf.to_json()
+            assert text == json_dumps_of_columns(surf)
+            assert '"theta": -0.0' in text and '"alpha_deg": 5e-324' in text
+            assert [p["value"] for p in json.loads(text)] == values
 
 
 class TestSurfaceCsv:
@@ -257,7 +303,7 @@ class TestSurfaceCsv:
         surf = analysis.surface_from_counts([0.3], [45.0], [table])
         text = surf.to_csv()
         assert text.splitlines()[0] == "theta_rad,alpha_deg,estimate,stderr"
-        assert csv_bits(text) == point_bits(surf.points, 4)
+        assert csv_bits(text) == column_bits(surf)
 
     def test_analytic_round_trip(self):
         surf = qdc.surface(
@@ -265,4 +311,4 @@ class TestSurfaceCsv:
         )
         text = surf.to_csv()
         assert text.splitlines()[0] == "theta_rad,alpha_deg,probability"
-        assert csv_bits(text) == point_bits(surf.points, 3)
+        assert csv_bits(text) == column_bits(surf)

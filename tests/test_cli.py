@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,49 @@ class TestParseGrid:
         start, stop, steps = spec.split(":")
         expected = np.linspace(float(start), float(stop), int(steps)).tolist()
         assert cli.parse_grid(spec) == expected
+
+
+class TestGridCap:
+    """Grids above ``MAX_GRID_POINTS`` exit 1 before any grid is built."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_large_built(self, monkeypatch):
+        # an axis is built only within the cap, and no surface at all
+        def axis(start, stop, steps, _linspace=cli.linspace):
+            assert steps <= cli.MAX_GRID_POINTS, "an axis above the cap was built"
+            return _linspace(start, stop, steps)
+
+        def fail(*args, **kwargs):
+            pytest.fail("a surface was built")
+
+        monkeypatch.setattr(cli, "linspace", axis)
+        monkeypatch.setattr(qdc, "surface", fail)
+        monkeypatch.setattr(mc, "run_grid", fail)
+
+    def test_cap_admits_the_largest_documented_grid(self):
+        assert 1001 * 451 <= cli.MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("axis", ["--theta", "--alpha"])
+    def test_first_rejected_axis(self, capsys, axis):
+        err = assert_usage_error(capsys, "sweep", axis, f"0:1:{cli.MAX_GRID_POINTS + 1}")
+        assert f"more than {cli.MAX_GRID_POINTS}" in err
+        assert_usage_error(capsys, "sweep", axis, f"0:1:{2**63}")
+
+    @pytest.mark.parametrize("sampled", [[], ["--shots", "1000000000", "--seed", "1"]])
+    def test_first_rejected_product(self, capsys, sampled):
+        # 101 x 9901 = MAX_GRID_POINTS + 1; only the two axes are built
+        assert 101 * 9901 == cli.MAX_GRID_POINTS + 1
+        err = assert_usage_error(capsys, "sweep", "--theta", "0:1:101",
+                                 "--alpha", "0:90:9901", *sampled)
+        assert f"101 x 9901 points, more than {cli.MAX_GRID_POINTS}" in err
+
+    def test_first_rejected_verify_grid(self, capsys, monkeypatch):
+        # 1414 x 707 points fit, 1415 x 707 do not
+        monkeypatch.setattr(cli, "linspace", lambda *args: pytest.fail("a grid was built"))
+        assert 1414 * 707 <= cli.MAX_GRID_POINTS < 1415 * 707
+        err = assert_usage_error(capsys, "verify", "--grid", "1415")
+        assert f"more than {cli.MAX_GRID_POINTS}" in err
+        assert_usage_error(capsys, "verify", "--grid", str(2**63))
 
 
 class TestSweep:
@@ -352,7 +396,7 @@ class TestBell:
                                  "--shots", "1000")
         assert code == 2
         assert out == ""
-        assert err.splitlines()[-1].startswith("failure: no conditioned counts")
+        assert err.splitlines()[-1] == "failure: no conditioned counts at theta=0.0, alpha=90.0"
 
     def test_reports_window_counts(self, capsys):
         code, out, err = run_cli(capsys, "bell", "--shots", "60000", "--seed", "11")
@@ -585,6 +629,103 @@ class TestArgumentErrors:
         assert "--theta" in capsys.readouterr().out
 
 
+class TestNegativeValues:
+    """A value that starts with ``-`` and a digit or ``.`` is read as a value
+    in both spellings, ``--flag -1`` and ``--flag=-1``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--theta", "-1:1:3", "--alpha", "0:90:2"],
+        ["sweep", "--theta", "0:1:2", "--alpha", "-30:-1e1:3"],
+        ["sweep", "--theta", "-.5:.5:3", "--alpha", "-4.5e1:0:2", "--format", "json"],
+        ["sweep", "--theta", "-1:1:2", "--alpha", "-90:0:2", "--shots", "400",
+         "--seed", "1"],
+        ["causality", "--delta-t", "-1e3"],
+        ["causality", "--delta-t", "-.5", "--delta-x", "-20"],
+    ])
+    def test_both_spellings_give_the_same_bytes(self, capsys, argv):
+        joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        spaced = run_cli(capsys, *argv)
+        assert spaced[0] == 0 and spaced[1]
+        assert run_cli(capsys, argv[0], *joined) == spaced
+
+    def test_flag_without_its_value_exits_1(self, capsys):
+        err = assert_usage_error(capsys, "sweep", "--theta", "--alpha", "0:90:2")
+        assert "--theta: expected one argument" in err
+
+
+#: values any flag of the argument fuzz test may get: signed zeros, extreme
+#: and non-finite floats, 2**63, negative and malformed values
+FUZZ_ANY = ["0", "-0", "-0.0", "1", "-1", "-.5", "1e308", "-1e308", "1e400", "nan",
+            "-nan", "inf", "-inf", str(2**63), str(-2**63), "", "x"]
+#: the values of each flag, mostly valid; a grid stays small or is rejected
+#: before it is built
+FUZZ_GRIDS = ["0:1:2", "-1:1:3", "0:90:2", "-30:-60:3", "-.5:.5:2", "-0.0:0.0:1",
+              "1e308:1e308:1", "-1e308:-1e308:1", "-1e308:1e308:3", "nan:1:2", "0:inf:2",
+              "0:1:0", "0:1:1", f"0:1:{2**63}", "0:1", "-1:1:3.5"]
+FUZZ_SHOTS = ["34", "3400", "34000", str(2**62), str(2**63), "0", "-1", "1e3"]
+FUZZ_SEEDS = ["0", "1", "7", "-0", str(2**63), "-1", "1.5"]
+FUZZ_FRACTIONS = ["0", "-0.0", "1e-3", "0.25", "0.5", "1", "1.5", "-1e-308"]
+FUZZ_FLAGS = {
+    "sweep": {"--theta": FUZZ_GRIDS, "--alpha": FUZZ_GRIDS, "--shots": FUZZ_SHOTS,
+              "--seed": FUZZ_SEEDS, "--efficiency": FUZZ_FRACTIONS,
+              "--dark": FUZZ_FRACTIONS, "--format": ["csv", "json", "json", "xml"],
+              "--basis": ["hv", "da"], "--input": ["entangled", "mixture"]},
+    "bell": {"--shots": FUZZ_SHOTS, "--seed": FUZZ_SEEDS, "--efficiency": FUZZ_FRACTIONS,
+             "--dark": FUZZ_FRACTIONS, "--input": ["entangled", "mixture"],
+             "--basis": ["hv"]},
+    "causality": {flag: ["20", "-20", "-1e3", "0", "1e300", "-1.7e308", "-.5"] for flag in
+                  ("--delta-x", "--delta-t", "--fiber-length", "--refractive-index")},
+    "verify": {"--grid": ["2", "3", "7", "1415", "1e3"]},
+}
+
+
+def fuzz_argv(rng):
+    """A command with up to four of its flags, each given a value in either
+    spelling: mostly one of the flag's own values, else any from
+    ``FUZZ_ANY``.  Now and then a stray word."""
+    command = rng.choice(sorted(FUZZ_FLAGS))
+    argv = [command]
+    flags = sorted(FUZZ_FLAGS[command])
+    sampled = command == "bell" or command == "sweep" and rng.random() < 0.5
+    if not sampled:  # mostly without the flags that an analytic sweep rejects
+        flags = [f for f in flags if f not in ("--shots", "--seed", "--efficiency", "--dark")
+                 or rng.random() < 0.1]
+    for flag in rng.sample(flags, rng.randint(0, min(4, len(flags)))):
+        value = rng.choice(FUZZ_FLAGS[command][flag] if rng.random() < 0.8 else FUZZ_ANY)
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["--bogus", "-1", "x"]))
+    if sampled and rng.random() < 0.7 and not any(w.startswith("--shots") for w in argv):
+        argv += ["--shots", "340000"]  # a draw costs the same at any shot count
+    return argv
+
+
+class TestArgumentFuzz:
+    """Seeded random argument lists hold the CLI contract: exit 0, 1 or 2
+    and no traceback; a validation error is one ``error:`` line with nothing
+    on stdout; a runtime failure leaves stdout empty; a payload carries no
+    non-finite number."""
+
+    def test_cli_contract(self, capsys):
+        rng = random.Random(2024)
+        exits, json_payloads = {0: 0, 1: 0, 2: 0}, 0
+        for _ in range(500):
+            argv = fuzz_argv(rng)
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code in exits, argv
+            exits[code] += 1
+            if code == 1:
+                assert out == "", argv
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            elif code == 2:
+                assert out == "", argv
+            else:
+                assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out), (argv, out)
+                json_payloads += out.startswith("[")
+        assert min(exits.values()) > 0 and json_payloads > 0, (exits, json_payloads)
+
+
 class TestParserReuse:
     """``main`` reuses one parser per process, so no call may leave state in
     it for the next."""
@@ -681,6 +822,8 @@ def probe_startup(argv):
 class TestStartupImports:
     @pytest.mark.parametrize("argv", [
         ["sweep", "--theta", "0:6.283185307179586:41", "--alpha", "0:90:17"],
+        ["sweep", "--theta", "0:6.283185307179586:41", "--alpha", "0:90:17",
+         "--format", "json"],
         ["verify"],
     ])
     def test_exact_commands_load_no_heavy_module(self, argv):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from qbs_sim.states import H, V, Mode, MixedState, fidelity
 
 def settings(**kw):
     return qdc.ExperimentSettings(**kw)
+
+
+def grid_points(surf):
+    """((theta, alpha), value) for each point of ``surf``, row-major."""
+    return zip(product(surf.thetas, surf.alphas), surf.values)
 
 
 def compiled_joint(s, thetas, alphas):
@@ -185,13 +191,13 @@ class TestSurfaces:
 
     def test_hv_surface_matches_oracle(self):
         surf = qdc.surface(settings(), self.thetas, self.alphas)
-        for p in surf.points:
-            assert abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg)) < 1e-10
+        for (theta, alpha), value in grid_points(surf):
+            assert abs(value - qdc.closed_form_ia(theta, alpha)) < 1e-10
 
     def test_da_surface_is_hv_shifted_by_45(self):
         surf = qdc.surface(settings(basis=qdc.BASIS_DA), self.thetas, self.alphas)
-        for p in surf.points:
-            assert abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg + 45.0)) < 1e-10
+        for (theta, alpha), value in grid_points(surf):
+            assert abs(value - qdc.closed_form_ia(theta, alpha + 45.0)) < 1e-10
 
     def test_mixture_da_shows_no_analyzer_correlation(self):
         # dephased input analyzed in the diagonal frame: the correlation is
@@ -202,10 +208,10 @@ class TestSurfaces:
             self.thetas,
             self.alphas,
         )
-        for p in surf.points:
-            expected = 0.25 + 0.5 * math.cos(p.theta / 2.0) ** 2
-            assert abs(p.value - expected) < 1e-12
-        mean = sum(p.value for p in surf.points) / len(surf.points)
+        for (theta, _), value in grid_points(surf):
+            expected = 0.25 + 0.5 * math.cos(theta / 2.0) ** 2
+            assert abs(value - expected) < 1e-12
+        mean = sum(surf.values) / len(surf.values)
         assert mean == pytest.approx(0.5, abs=0.05)
 
     def test_mixture_hv_matches_entangled_hv(self):
@@ -213,8 +219,8 @@ class TestSurfaces:
         surf = qdc.surface(
             settings(input=qdc.INPUT_MIXTURE), self.thetas, self.alphas
         )
-        for p in surf.points:
-            assert abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg)) < 1e-10
+        for (theta, alpha), value in grid_points(surf):
+            assert abs(value - qdc.closed_form_ia(theta, alpha)) < 1e-10
 
 
 class TestDaEquivalenceForEntangledInput:
@@ -280,24 +286,25 @@ class TestCompiledEquivalence:
         for corr in qdc.CORROBORATIVE_DETECTORS:
             for grp in qdc.GROUPS:
                 surf = qdc.surface(s, self.thetas, self.alphas, corr, grp)
-                for p in surf.points:
-                    point = s._replace(theta=p.theta, alpha_deg=p.alpha_deg)
+                for (theta, alpha), value in grid_points(surf):
+                    point = s._replace(theta=theta, alpha_deg=alpha)
                     ref = reference_joint(point)
                     row = ref[qdc.CORROBORATIVE_DETECTORS.index(corr)]
                     in_group = [p in qdc.GROUP_PATHS[grp] for p in qdc.TERMINAL_PATHS]
                     joint = row[in_group].sum()
-                    assert abs(p.value - joint / row.sum()) <= 1e-12
+                    assert abs(value - joint / row.sum()) <= 1e-12
                     assert abs(group_joint(point, corr, grp) - joint) <= 1e-12
 
     @pytest.mark.parametrize("n_theta,n_alpha", [(1, 1), (1, 5), (5, 1)])
     def test_degenerate_grids(self, n_theta, n_alpha):
         thetas, alphas = self.thetas[:n_theta], self.alphas[:n_alpha]
         surf = qdc.surface(settings(), thetas, alphas)
-        assert [(p.theta, p.alpha_deg) for p in surf.points] == [
+        assert list(product(surf.thetas, surf.alphas)) == [
             (float(t), float(a)) for t in thetas for a in alphas
         ]
-        for p in surf.points:
-            assert abs(p.value - qdc.closed_form_ia(p.theta, p.alpha_deg)) <= 1e-12
+        assert len(surf.values) == len(thetas) * len(alphas)
+        for (theta, alpha), value in grid_points(surf):
+            assert abs(value - qdc.closed_form_ia(theta, alpha)) <= 1e-12
 
     @pytest.mark.parametrize("basis", (qdc.BASIS_HV, qdc.BASIS_DA))
     def test_compiled_amplitudes_match_element_chain(self, basis):
