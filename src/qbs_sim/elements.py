@@ -1,5 +1,8 @@
 """Single-photon mode-space unitaries and their application to two-photon states.
 
+An element acts on the photon on one of its declared input paths; the two
+photons never share a path.  ``propagate`` carries one photon through a chain.
+
 Conventions (fixed so that the interferometer reproduces the textbook
 amplitudes exactly, see tests):
   * all ordinary beam-splitters put a factor i on reflection;
@@ -18,9 +21,6 @@ from .states import H, V, Mode, TwoPhotonState
 
 UNITARITY_TOL = 1e-12
 
-SIDE_TEST = "test"
-SIDE_CORROBORATIVE = "corroborative"
-
 
 class ElementError(ValueError):
     """Raised for invalid element construction or application."""
@@ -34,13 +34,10 @@ class OpticalElement:
     path with a missing polarization is treated as a configuration error.
     """
 
-    __slots__ = ("name", "side", "columns", "input_paths")
+    __slots__ = ("name", "columns", "input_paths")
 
-    def __init__(self, name: str, side: str, columns: dict[Mode, dict[Mode, complex]]):
-        if side not in (SIDE_TEST, SIDE_CORROBORATIVE):
-            raise ElementError(f"unknown side {side!r}")
+    def __init__(self, name: str, columns: dict[Mode, dict[Mode, complex]]):
         self.name = name
-        self.side = side
         self.columns = {
             m: {o: complex(a) for o, a in col.items() if a != 0}
             for m, col in columns.items()
@@ -77,8 +74,10 @@ def check_unitary(element: OpticalElement) -> float:
 
 
 def apply(element: OpticalElement, state: TwoPhotonState) -> TwoPhotonState:
-    """Apply a one-sided element linearly to a two-photon state."""
-    acting_test = element.side == SIDE_TEST
+    """Apply an element linearly to a two-photon state: to the corroborative
+    photon if its one path is an input path of the element, else to the test one."""
+    corroborative_path = next(iter(state.amplitudes))[0].path
+    acting_test = corroborative_path not in element.input_paths
     out: dict = {}
     for (cm, tm), amp in state.amplitudes.items():
         col = element.map_mode(tm if acting_test else cm)
@@ -110,14 +109,14 @@ def beam_splitter_50_50(in1: str, in2: str, out1: str, out2: str) -> OpticalElem
     for pol in (H, V):
         cols[Mode(in1, pol)] = {Mode(out1, pol): t, Mode(out2, pol): 1j * t}
         cols[Mode(in2, pol)] = {Mode(out2, pol): t, Mode(out1, pol): 1j * t}
-    return OpticalElement(f"BS({in1},{in2}->{out1},{out2})", SIDE_TEST, cols)
+    return OpticalElement(f"BS({in1},{in2}->{out1},{out2})", cols)
 
 
 def phase_shifter(path: str, theta: float) -> OpticalElement:
     """Multiply both polarizations on ``path`` by exp(i*theta)."""
     ph = cmath.exp(1j * theta)
     cols = {Mode(path, pol): {Mode(path, pol): ph} for pol in (H, V)}
-    return OpticalElement(f"phase({path},{theta:.6g})", SIDE_TEST, cols)
+    return OpticalElement(f"phase({path},{theta:.6g})", cols)
 
 
 def pdbs(in_a: str, in_b: str, out_a: str, out_b: str) -> OpticalElement:
@@ -132,7 +131,7 @@ def pdbs(in_a: str, in_b: str, out_a: str, out_b: str) -> OpticalElement:
         Mode(in_a, V): {Mode(out_a, V): t, Mode(out_b, V): 1j * t},
         Mode(in_b, V): {Mode(out_b, V): t, Mode(out_a, V): 1j * t},
     }
-    return OpticalElement(f"PDBS({in_a},{in_b}->{out_a},{out_b})", SIDE_TEST, cols)
+    return OpticalElement(f"PDBS({in_a},{in_b}->{out_a},{out_b})", cols)
 
 
 def pbs_rotated(path_in: str, path_t: str, path_r: str, angle_deg: float) -> OpticalElement:
@@ -150,14 +149,10 @@ def pbs_rotated(path_in: str, path_t: str, path_r: str, angle_deg: float) -> Opt
         Mode(path_in, H): {Mode(path_t, H): c, Mode(path_r, V): s},
         Mode(path_in, V): {Mode(path_t, H): -s, Mode(path_r, V): c},
     }
-    return OpticalElement(
-        f"PBS({path_in}->{path_t},{path_r}@{angle_deg:g}deg)", SIDE_TEST, cols
-    )
+    return OpticalElement(f"PBS({path_in}->{path_t},{path_r}@{angle_deg:g}deg)", cols)
 
 
-def polarization_rotator(
-    path: str, alpha_deg: float, side: str = SIDE_CORROBORATIVE
-) -> OpticalElement:
+def polarization_rotator(path: str, alpha_deg: float) -> OpticalElement:
     """Real polarization rotation by ``alpha_deg`` on one path:
     H -> cos*H + sin*V, V -> -sin*H + cos*V."""
     a = math.radians(alpha_deg)
@@ -166,7 +161,7 @@ def polarization_rotator(
         Mode(path, H): {Mode(path, H): c, Mode(path, V): s},
         Mode(path, V): {Mode(path, H): -s, Mode(path, V): c},
     }
-    return OpticalElement(f"rot({path},{alpha_deg:g}deg)", side, cols)
+    return OpticalElement(f"rot({path},{alpha_deg:g}deg)", cols)
 
 
 def pdbs_composite() -> list[OpticalElement]:
@@ -180,7 +175,7 @@ def pdbs_composite() -> list[OpticalElement]:
     def route(name, *routes):
         # (input path, output path, polarization) rails of an H/V splitter
         cols = {Mode(i, p): {Mode(o, p): 1.0} for i, o, p in routes}
-        return OpticalElement(name, SIDE_TEST, cols)
+        return OpticalElement(name, cols)
 
     # splitter stage: H reflected onto bypass rails, V transmitted toward BS
     return [
@@ -192,18 +187,13 @@ def pdbs_composite() -> list[OpticalElement]:
     ]
 
 
-def circuit_columns(
-    circuit: list[OpticalElement], input_modes: Iterable[Mode]
-) -> dict[Mode, dict[Mode, complex]]:
-    """End-to-end action of an element sequence on the given basis input modes."""
-    result = {}
-    for mode in input_modes:
-        col = {mode: 1.0 + 0j}
-        for el in circuit:
-            nxt: dict[Mode, complex] = {}
-            for m, a in col.items():
-                for o, b in el.map_mode(m).items():
-                    nxt[o] = nxt.get(o, 0j) + a * b
-            col = nxt
-        result[mode] = {m: a for m, a in col.items() if abs(a) > 1e-15}
-    return result
+def propagate(chain: Iterable[OpticalElement],
+              amplitudes: dict[Mode, complex]) -> dict[Mode, complex]:
+    """One photon's mode amplitudes carried through an element sequence."""
+    for element in chain:
+        out: dict[Mode, complex] = {}
+        for m, a in amplitudes.items():
+            for o, b in element.map_mode(m).items():
+                out[o] = out.get(o, 0j) + a * b
+        amplitudes = out
+    return amplitudes

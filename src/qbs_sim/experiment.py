@@ -45,9 +45,9 @@ GROUP_PATHS = {
 }
 #: fixed terminal-path order of the joint outcomes
 TERMINAL_PATHS = ("a", "a'", "b", "b'")
-#: test-photon modes at the entrance, on the two arms, and behind the erasers
-ENTRANCE_MODES = (Mode("a", H), Mode("a", V))
-ARM_MODES = (Mode("a", H), Mode("a", V), Mode("b", H), Mode("b", V))
+#: the interferometer arm that carries the phase plate
+PHASE_ARM = "b"
+#: test-photon modes behind the erasers
 TERMINAL_MODES = tuple(Mode(p, pol) for p in TERMINAL_PATHS for pol in POLARIZATIONS)
 
 
@@ -90,10 +90,10 @@ def mixture_state() -> MixedState:
 
 def _test_side_halves(basis: str
                       ) -> tuple[list[el.OpticalElement], list[el.OpticalElement]]:
-    """Test-side elements before and after the phase plate on arm ``b``."""
+    """Test-side elements before and after the phase plate on ``PHASE_ARM``."""
     before: list[el.OpticalElement] = []
     if basis == BASIS_DA:
-        before.append(el.polarization_rotator("a", -45.0, side=el.SIDE_TEST))
+        before.append(el.polarization_rotator("a", -45.0))
     before.append(el.beam_splitter_50_50("a", "b", "a", "b"))
     after = [
         el.pdbs("a", "b", "a", "b"),
@@ -113,7 +113,7 @@ def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
     offsetting the corroborative rotation by +45 degrees.
     """
     before, after = _test_side_halves(settings.basis)
-    return before + [el.phase_shifter("b", settings.theta)] + after
+    return before + [el.phase_shifter(PHASE_ARM, settings.theta)] + after
 
 
 def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState:
@@ -128,45 +128,35 @@ def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState
                        for w, s in mixture_state().components])
 
 
-def _compiled_test_side(basis: str) -> tuple[tuple[tuple[complex, ...], ...], ...]:
-    """The test side as ``U(theta) = A + exp(i theta) B``: two 8x2 maps from
-    ``ENTRANCE_MODES`` to ``TERMINAL_MODES``, as tuples of rows, ``A``
-    through arm ``a`` and ``B`` through the phase plate on arm ``b``.
-    Composed from the unitarity-checked elements."""
-    before, after = _test_side_halves(basis)
-    pre = el.circuit_columns(before, ENTRANCE_MODES)
-    post = el.circuit_columns(after, ARM_MODES)
-
-    def through(arm: str):
-        return tuple(
-            tuple(sum(pre[j].get(k, 0j) * post[k].get(m, 0j)
-                      for k in ARM_MODES if k.path == arm) for j in ENTRANCE_MODES)
-            for m in TERMINAL_MODES
-        )
-
-    return through("a"), through("b")
+def _through_arms(before, after, entrance: dict[Mode, complex]) -> tuple[dict, dict]:
+    """The test photon's ``entrance`` amplitudes carried through the test side
+    and split at the phase plate into terminal amplitudes ``(a, b)`` through the
+    other arm and ``PHASE_ARM``: the whole side at theta gives a + exp(i theta) b."""
+    arms = el.propagate(before, entrance)
+    return tuple(el.propagate(after, {m: x for m, x in arms.items()
+                                      if (m.path == PHASE_ARM) == plate})
+                 for plate in (False, True))
 
 
 @lru_cache(maxsize=None)
 def _compiled(basis: str, input: str
               ) -> tuple[tuple[tuple[float, float, float], ...], ...]:
     """The input carried through the test side, built once per key: for each
-    group in ``GROUPS`` order, its forms ``(U, W, X)``, each as ``(c0, c1,
-    c2)`` meaning c0 + Re(exp(i theta) (c1 - i c2)).  They sum |u|^2, |w|^2
-    and Re(u conj(w)) over the group's terminal modes and the weighted
-    mixture components, where ``u = A_H + exp(i theta) B_H`` is a mode's
-    amplitude with the corroborative photon H and ``w = A_V + exp(i theta)
-    B_V`` with it V, before the rotator."""
-    a, b = _compiled_test_side(basis)
+    group in ``GROUPS`` order, its forms ``(U, W, X)``, each as ``(c0, c1, c2)``
+    meaning c0 + Re(exp(i theta) (c1 - i c2)).  Each weighted source component's
+    test photon, with the corroborative photon H and V, goes through the two arms
+    to ``u = a_H + exp(i theta) b_H`` and ``w = a_V + exp(i theta) b_V`` per
+    terminal mode; the forms sum |u|^2, |w|^2 and Re(u conj(w)) over a group's
+    modes and the components.  Summed per arm, c0 >= |c1 - i c2| to rounding."""
+    halves = _test_side_halves(basis)
     components = ([(1.0, bell_state())] if input == INPUT_ENTANGLED
                   else mixture_state().components)
     forms = [[[0.0, 0.0, 0.0] for _ in range(3)] for _ in GROUPS]
     for weight, state in components:
-        entrance = [[state.amplitudes.get((Mode("c", cp), tm), 0j)
-                     for tm in ENTRANCE_MODES] for cp in POLARIZATIONS]
-        for i, mode in enumerate(TERMINAL_MODES):
-            a_h, b_h, a_v, b_v = (sum(row[i][j] * x for j, x in enumerate(amps))
-                                  for amps in entrance for row in (a, b))
+        arms = [_through_arms(*halves, {tm: x for (cm, tm), x in state.amplitudes.items()
+                                        if cm.pol == cp}) for cp in POLARIZATIONS]
+        for mode in TERMINAL_MODES:
+            (a_h, b_h), (a_v, b_v) = ((a.get(mode, 0j), b.get(mode, 0j)) for a, b in arms)
             u, w, x = forms[0 if mode.path in GROUP_PATHS[GROUP_A] else 1]
             for form, c0, z in (
                     (u, abs(a_h) ** 2 + abs(b_h) ** 2, 2.0 * a_h.conjugate() * b_h),

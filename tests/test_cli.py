@@ -575,7 +575,7 @@ class TestVerify:
 
         def flipped(*args, **kwargs):
             e = good(*args, **kwargs)
-            return el.OpticalElement(e.name, e.side, {
+            return el.OpticalElement(e.name, {
                 m: {o: a.conjugate() for o, a in col.items()}
                 for m, col in e.columns.items()})
 

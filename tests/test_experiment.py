@@ -308,16 +308,23 @@ class TestCompiledEquivalence:
 
     @pytest.mark.parametrize("basis", (qdc.BASIS_HV, qdc.BASIS_DA))
     def test_compiled_amplitudes_match_element_chain(self, basis):
-        # U(theta) = A + exp(i theta) B, column by column
-        a, b = (np.array(m) for m in qdc._compiled_test_side(basis))
-        assert a.shape == b.shape == (len(qdc.TERMINAL_MODES), len(qdc.ENTRANCE_MODES))
-        for theta in (0.0, 1.1, 8.0):
-            s = settings(theta=theta, basis=basis)
-            cols = el.circuit_columns(qdc.test_side_circuit(s), qdc.ENTRANCE_MODES)
-            u = a + np.exp(1j * theta) * b
-            for j, mode in enumerate(qdc.ENTRANCE_MODES):
-                ref = [cols[mode].get(m, 0j) for m in qdc.TERMINAL_MODES]
-                assert np.abs(u[:, j] - ref).max() <= 1e-12
+        # a + exp(i theta) b through the two arms is the whole test side,
+        # carried from the same entrance amplitudes: those of each source
+        # component of both inputs, with the corroborative photon H and V
+        halves = qdc._test_side_halves(basis)
+        states = [qdc.bell_state()] + [s for _, s in qdc.mixture_state().components]
+        for state, cp in product(states, (H, V)):
+            entrance = {tm: x for (cm, tm), x in state.amplitudes.items() if cm.pol == cp}
+            a, b = qdc._through_arms(*halves, entrance)
+            assert set(a) | set(b) <= set(qdc.TERMINAL_MODES)
+            for theta in (0.0, 1.1, 8.0):
+                s = settings(theta=theta, basis=basis)
+                whole = el.propagate(qdc.test_side_circuit(s), entrance)
+                assert set(whole) <= set(qdc.TERMINAL_MODES)
+                u = [a.get(m, 0j) + np.exp(1j * theta) * b.get(m, 0j)
+                     for m in qdc.TERMINAL_MODES]
+                ref = [whole.get(m, 0j) for m in qdc.TERMINAL_MODES]
+                assert np.abs(np.subtract(u, ref)).max() <= 1e-12
 
     @pytest.mark.parametrize("basis,input", cases)
     def test_no_signalling(self, basis, input):

@@ -373,6 +373,8 @@ class TestWindowReference:
                 ref = reference.window_cells(settings(theta=float(theta), alpha_deg=float(alpha),
                                                       basis=basis, input=inp), model)
                 np.testing.assert_allclose(cells, ref, rtol=0, atol=1e-15)
+                # exactly, since a multinomial draw rejects a cell of -1e-17
+                assert all(cell >= 0.0 for cell in cells)
 
     @pytest.mark.parametrize("basis", [qdc.BASIS_HV, qdc.BASIS_DA])
     @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
