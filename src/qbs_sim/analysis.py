@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import experiment as qdc
 from .surfaces import CorrelationSurface
 
 if TYPE_CHECKING:
@@ -34,22 +33,18 @@ class SpacetimeEvent(NamedTuple):
 class Estimate(NamedTuple):
     value: float
     stderr: float
-    n: int
     defined: bool = True
 
 
-def estimate(table: CountTable, corroborative: str = "D_H",
-             group: str = qdc.GROUP_A) -> Estimate:
-    """Intensity-correlation estimate N(corr, group) / N(corr, either group)
-    with a binomial standard error."""
-    n_a = table.counts[(corroborative, group)]
-    n_b = table.counts[(corroborative, qdc.GROUP_B if group == qdc.GROUP_A
-                        else qdc.GROUP_A)]
-    n = n_a + n_b
+def estimate(table: CountTable) -> Estimate:
+    """Intensity-correlation estimate ``h_a / (h_a + h_b)``, the share of the
+    D_H-gated windows whose test click fell in group A, with a binomial
+    standard error."""
+    n = table.h_a + table.h_b
     if n == 0:
-        return Estimate(float("nan"), float("nan"), 0, defined=False)
-    p = n_a / n
-    return Estimate(p, math.sqrt(p * (1.0 - p) / n), n)
+        return Estimate(float("nan"), float("nan"), defined=False)
+    p = table.h_a / n
+    return Estimate(p, math.sqrt(p * (1.0 - p) / n))
 
 
 def fit_visibility(
@@ -130,13 +125,12 @@ def classical_bound_violation(s: float, uncertainty: float) -> float:
 
 
 def surface_from_counts(thetas: Sequence[float], alphas_deg: Sequence[float],
-                        tables: Sequence[CountTable], corroborative: str = "D_H",
-                        group: str = qdc.GROUP_A) -> CorrelationSurface:
+                        tables: Sequence[CountTable]) -> CorrelationSurface:
     """Per-point estimates and standard errors from sampled count tables,
     one per (theta, alpha) grid point, row-major in theta then alpha."""
     values, stderrs = [], []
     for i, table in enumerate(tables):
-        est = estimate(table, corroborative, group)
+        est = estimate(table)
         if not est.defined:
             raise ValueError(f"no conditioned counts at theta={thetas[i // len(alphas_deg)]}"
                              f", alpha={alphas_deg[i % len(alphas_deg)]}")

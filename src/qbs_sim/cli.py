@@ -41,11 +41,12 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     """Reports bad arguments as a ``UsageError``, so they exit 1 with one
     ``error:`` line like every other validation error.  A ``-`` followed by a
-    digit or ``.`` starts a value, so ``--theta -1:1:3`` works."""
+    digit, ``.``, ``inf`` or ``nan`` (any case) starts a value, so ``--theta
+    -1:1:3`` and ``--delta-x -inf`` are read as ``=`` spells them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)

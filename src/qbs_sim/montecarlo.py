@@ -27,11 +27,6 @@ from typing import NamedTuple
 from . import experiment as qdc
 from .states import POLARIZATIONS, MixedState
 
-CATEGORIES = tuple(
-    (corr, grp) for corr in qdc.CORROBORATIVE_DETECTORS for grp in qdc.GROUPS
-)
-
-
 class _Model(NamedTuple):
     efficiency: float = 0.25        # per-detector click survival probability
     dark_probability: float = 4.8e-4  # spurious click probability per window
@@ -60,15 +55,26 @@ class DetectionModel(_Model):
 
 
 class CountTable(NamedTuple):
-    """Window counts of one point: ``counts`` per category sum to ``valid``;
-    ``discarded_zero`` windows had no two-fold coincidence and
-    ``discarded_multi`` ones violated the XOR condition."""
+    """Window counts of one point, in ``window_probability_grid`` cell order:
+    the four XOR-gated cells, named by the corroborative detector (``D_H``,
+    ``D_V``) and the test group (A, B) that clicked, then the
+    ``discarded_zero`` windows with no two-fold coincidence and the
+    ``discarded_multi`` ones that violated the XOR condition."""
 
-    counts: dict
-    valid: int
+    h_a: int
+    h_b: int
+    v_a: int
+    v_b: int
     discarded_zero: int
     discarded_multi: int
-    shots: int
+
+    @property
+    def valid(self) -> int:
+        return self.h_a + self.h_b + self.v_a + self.v_b
+
+    @property
+    def shots(self) -> int:
+        return sum(self)
 
 
 def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]:
@@ -87,9 +93,8 @@ def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]
 def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionModel,
                             thetas, alphas_deg) -> list[list[list[float]]]:
     """Exact probabilities of the 6 window cells on the whole (theta, alpha)
-    grid, nested ``[theta][alpha][cell]``: the 4 ``CATEGORIES`` in order, then
-    ``discarded_zero``, then ``discarded_multi``.  The grid replaces
-    ``settings.theta`` and ``settings.alpha_deg``.
+    grid, nested ``[theta][alpha][cell]``, cells in ``CountTable`` field
+    order.  The grid replaces ``settings.theta`` and ``settings.alpha_deg``.
 
     Given the joint outcome the two sides click independently.  A side's
     signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
@@ -225,13 +230,6 @@ def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
     for p, (state, inc) in zip(cells, _stream_states(model.seed, first_stream, len(cells))):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        n = rng.multinomial(shots_per_point, p).tolist()
-        tables.append(CountTable(
-            counts=dict(zip(CATEGORIES, n[:4])),
-            valid=sum(n[:4]),
-            discarded_zero=n[4],
-            discarded_multi=n[5],
-            shots=shots_per_point,
-        ))
+        tables.append(CountTable._make(rng.multinomial(shots_per_point, p).tolist()))
     return tables
 

@@ -630,8 +630,8 @@ class TestArgumentErrors:
 
 
 class TestNegativeValues:
-    """A value that starts with ``-`` and a digit or ``.`` is read as a value
-    in both spellings, ``--flag -1`` and ``--flag=-1``."""
+    """A value that starts with ``-`` and a digit, ``.``, ``inf`` or ``nan``
+    is read as a value in both spellings, ``--flag -1`` and ``--flag=-1``."""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--theta", "-1:1:3", "--alpha", "0:90:2"],
@@ -647,6 +647,23 @@ class TestNegativeValues:
         spaced = run_cli(capsys, *argv)
         assert spaced[0] == 0 and spaced[1]
         assert run_cli(capsys, argv[0], *joined) == spaced
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--theta", "-inf:1:3"], "non-finite endpoint"),
+        (["sweep", "--theta", "0:1:2", "--alpha", "-NaN:0:2"], "non-finite endpoint"),
+        (["causality", "--delta-x", "-inf"], "--delta-x must be finite, got -inf"),
+        (["causality", "--delta-t", "-Infinity"], "--delta-t must be finite, got -inf"),
+        (["causality", "--fiber-length", "-INF"], "--fiber-length must be finite"),
+        (["sweep", "--shots", "100", "--efficiency", "-nan"], "below the 325 grid points"),
+        (["sweep", "--shots", "400", "--theta", "0:1:2", "--alpha", "0:90:2",
+          "--efficiency", "-nan"], "efficiency nan outside"),
+        (["bell", "--dark", "-inF", "--seed", "2"], "dark probability -inf outside"),
+    ])
+    def test_non_finite_values_give_the_same_error(self, capsys, argv, message):
+        joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+        err = assert_usage_error(capsys, *argv)
+        assert message in err
+        assert run_cli(capsys, argv[0], *joined) == (1, "", err)
 
     def test_flag_without_its_value_exits_1(self, capsys):
         err = assert_usage_error(capsys, "sweep", "--theta", "--alpha", "0:90:2")

@@ -1,11 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import reference
-from qbs_sim import analysis
+from qbs_sim import analysis, cli
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
 
@@ -15,6 +16,9 @@ def settings(**kw):
 
 
 IDEAL = dict(efficiency=1.0, dark_probability=0.0)
+#: the four XOR-gated cells as (corroborative detector, test group), in the
+#: order of ``CountTable``'s first four fields
+CATEGORIES = [(corr, grp) for corr in qdc.CORROBORATIVE_DETECTORS for grp in qdc.GROUPS]
 
 
 def window_cells(s, model):
@@ -32,7 +36,7 @@ def window_cell(clicked: frozenset) -> int:
         return 5
     path = qdc.DETECTOR_PATHS[test[0]]
     group = qdc.GROUP_A if path in qdc.GROUP_PATHS[qdc.GROUP_A] else qdc.GROUP_B
-    return mc.CATEGORIES.index((corr[0], group))
+    return CATEGORIES.index((corr[0], group))
 
 
 class TestModel:
@@ -148,7 +152,7 @@ class TestWindowProbabilities:
         s = settings(theta=1.3, alpha_deg=25.0)
         p = window_cells(s, mc.DetectionModel(**IDEAL))
         joint = mc.joint_outcome_probabilities(s)
-        for i, (corr, grp) in enumerate(mc.CATEGORIES):
+        for i, (corr, grp) in enumerate(CATEGORIES):
             ci = qdc.CORROBORATIVE_DETECTORS.index(corr)
             expected = sum(
                 joint[ci * 4 + ti]
@@ -199,7 +203,7 @@ class TestRun:
         model = mc.DetectionModel(efficiency=0.25, dark_probability=1e-3, seed=9)
         table = mc.run(settings(theta=1.0, alpha_deg=40.0), model, 50_000)
         assert table.valid + table.discarded_zero + table.discarded_multi == 50_000
-        assert sum(table.counts.values()) == table.valid
+        assert sum(table[:4]) == table.valid
 
     def test_determinism_same_seed(self):
         model = mc.DetectionModel(seed=123)
@@ -261,8 +265,8 @@ class TestRun:
             theta=math.pi / 2, basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE
         )
         table = mc.run(s, mc.DetectionModel(seed=31, **IDEAL), 100_000)
-        for c in mc.CATEGORIES:
-            f = table.counts[c] / table.valid
+        for n in table[:4]:
+            f = n / table.valid
             sigma = math.sqrt(0.25 * 0.75 / table.valid)
             assert abs(f - 0.25) < 4 * sigma
 
@@ -317,8 +321,7 @@ class TestGrid:
             pcg = np.random.PCG64(ref).state["state"]
             assert stream == (pcg["state"], pcg["inc"])
             drawn = np.random.default_rng(ref).multinomial(5000, p).tolist()
-            assert drawn == [table.counts[c] for c in mc.CATEGORIES] + [
-                table.discarded_zero, table.discarded_multi]
+            assert drawn == list(table)
 
     # seeds of 1, 2, 3 and 7 uint32 words: 2**200 - 1 has more words than the
     # 4-word pool, so its extra words are mixed in before the spawn key
@@ -346,6 +349,54 @@ class TestGrid:
         if n == 1:
             with pytest.raises(ValueError):
                 mc.run(settings(), model, 100, stream=first_stream)
+
+
+class TestCountTable:
+    """A count table is the six window cells of one point, as plain ints in
+    ``window_probability_grid`` order."""
+    ARGV = ["sweep", "--shots", "60000", "--seed", "12", "--theta", "0:2.5:3",
+            "--alpha", "0:60:4", "--basis", "da", "--efficiency", "0.4", "--dark", "0.05"]
+
+    def grid(self):
+        """The window probabilities and the count tables of the sampled
+        sweep ``ARGV``, drawn through ``run_grid``."""
+        thetas, alphas = cli.parse_grid("0:2.5:3"), cli.parse_grid("0:60:4")
+        model = mc.DetectionModel(efficiency=0.4, dark_probability=0.05, seed=12)
+        base = settings(basis=qdc.BASIS_DA)
+        return (mc.window_probability_grid(base, model, thetas, alphas),
+                mc.run_grid(base, model, thetas, alphas, 5000))
+
+    def test_six_int_cells_in_window_grid_order(self):
+        assert mc.CountTable._fields == ("h_a", "h_b", "v_a", "v_b", "discarded_zero",
+                                         "discarded_multi")
+        assert [f"{corr[-1].lower()}_{grp.lower()}" for corr, grp in CATEGORIES] == list(
+            mc.CountTable._fields[:4])
+        probabilities, tables = self.grid()
+        cells = [p for row in probabilities for p in row]
+        assert len(tables) == len(cells) == 12
+        for p, table in zip(cells, tables):
+            assert len(table) == 6 and all(type(n) is int for n in table)
+            assert sum(table) == table.shots == 5000
+            assert table.valid == sum(table[:4])
+            # each cell within 5 sigma of its own expectation
+            for n, q in zip(table, p):
+                assert abs(n - 5000 * q) <= 5 * math.sqrt(5000 * q * (1 - q)) + 1e-9
+
+    def test_tables_add_up_to_the_window_line(self, capsys):
+        assert cli.main(self.ARGV) == 0
+        err = capsys.readouterr().err
+        line = next(l for l in err.splitlines() if l.startswith("shots: ")).split()
+        reported = {w.rstrip(":"): int(n) for w, n in zip(line[::2], line[1::2])}
+        cells = [sum(column) for column in zip(*self.grid()[1])]
+        assert reported == {"shots": sum(cells), "valid": sum(cells[:4]),
+                            "discarded_zero": cells[4], "discarded_multi": cells[5]}
+        assert reported["shots"] == 60000
+
+    def test_json_round_trip(self):
+        for table in self.grid()[1]:
+            fields = json.loads(json.dumps(table._asdict()))
+            assert fields == table._asdict()
+            assert mc.CountTable(**fields) == table
 
 
 class TestWindowReference:
@@ -396,11 +447,8 @@ class TestWindowReference:
 
 class TestEstimate:
     def _table(self, n_a, n_b):
-        counts = {c: 0 for c in mc.CATEGORIES}
-        counts[("D_H", "A")] = n_a
-        counts[("D_H", "B")] = n_b
-        return mc.CountTable(counts=counts, valid=n_a + n_b, discarded_zero=0,
-                             discarded_multi=0, shots=n_a + n_b)
+        return mc.CountTable(h_a=n_a, h_b=n_b, v_a=0, v_b=0, discarded_zero=0,
+                             discarded_multi=0)
 
     def test_binomial_formula(self):
         est = analysis.estimate(self._table(75, 25))
