@@ -123,9 +123,10 @@ def _shots_per_point(shots: int, points: int, what: str) -> int:
 
 def _report_windows(tables):
     """One stderr line with the window counts summed over ``tables``."""
-    print("  ".join(f"{name}: {sum(getattr(t, name) for t in tables)}"
-                    for name in ("shots", "valid", "discarded_zero", "discarded_multi")),
-          file=sys.stderr)
+    h_a, h_b, v_a, v_b, zero, multi = map(sum, zip(*tables))
+    valid = h_a + h_b + v_a + v_b
+    print(f"shots: {valid + zero + multi}  valid: {valid}  "
+          f"discarded_zero: {zero}  discarded_multi: {multi}", file=sys.stderr)
 
 
 def _write_file(path: str, text: str):

@@ -6,12 +6,55 @@ from itertools import product
 import numpy as np
 import pytest
 
+import reference
 from qbs_sim import analysis
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
 from qbs_sim.surfaces import CorrelationSurface
 
 THETAS = np.linspace(0.0, 2.0 * math.pi, 17)
+
+
+def random_scan(rng):
+    """A noisy sinusoid with its standard errors, at 8 to 40 increasing
+    angles spanning 2 pi to 4 pi."""
+    n = rng.randint(8, 40)
+    t0, span = rng.uniform(-5.0, 5.0), 2.0 * math.pi * rng.uniform(1.0, 2.0)
+    thetas = [t0] + sorted(t0 + span * rng.random() for _ in range(n - 2)) + [t0 + span]
+    b, c = rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)
+    errs = [rng.uniform(0.005, 0.03) for _ in thetas]
+    values = [0.5 + b * math.cos(t) + c * math.sin(t) + rng.gauss(0.0, e)
+              for t, e in zip(thetas, errs)]
+    return thetas, values, errs
+
+
+def floored_scan(rng, windows=15):
+    """A 17-point scan of estimates k / n from n windows per point, on a
+    fringe of visibility 0.8 to 0.9, with binomial standard errors floored
+    at 1e-6 where they are zero, as ``bell`` floors them."""
+    phase, vis = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.8, 0.9)
+    values, errs = [], []
+    for theta in THETAS.tolist():
+        p = 0.5 * (1.0 + vis * math.cos(theta - phase))
+        k = sum(rng.random() < p for _ in range(windows))
+        values.append(k / windows)
+        errs.append(max(math.sqrt(k * (windows - k) / windows) / windows, 1e-6))
+    return THETAS.tolist(), values, errs
+
+
+def assert_matches_exact_fit(thetas, values, errs):
+    """``fit_visibility`` against ``reference.exact_fit`` to 1e-12 relative,
+    with the clamp to 1 and the 3-sigma rejection applied to the exact
+    visibility; returns whether the fit gave a result."""
+    v, sigma = reference.exact_fit(thetas, values, errs)
+    if v > 1.0 + 3.0 * sigma + 1e-9:
+        with pytest.raises(analysis.FitError, match="exceeds 1 beyond 3 sigma"):
+            analysis.fit_visibility(thetas, values, errs)
+        return False
+    fit = analysis.fit_visibility(thetas, values, errs)
+    assert fit.value == pytest.approx(min(v, 1.0), rel=1e-12)
+    assert fit.uncertainty == pytest.approx(sigma, rel=1e-12)
+    return True
 
 
 class TestFitVisibility:
@@ -64,6 +107,36 @@ class TestFitVisibility:
         th = np.concatenate([THETAS[:10], THETAS[8:]])
         with pytest.raises(analysis.FitError):
             analysis.fit_visibility(th, np.ones_like(th))
+
+    def test_degenerate_scan_rejected(self):
+        # every angle is a multiple of 2 pi, so the cos column repeats the
+        # constant one and the sin column is rounding noise
+        th = [2.0 * math.pi * k for k in range(8)]
+        with pytest.raises(analysis.FitError, match="singular design matrix"):
+            analysis.fit_visibility(th, [0.5] * 8)
+
+    def test_mismatched_lengths_rejected(self):
+        values = (0.5 + 0.5 * np.cos(THETAS)).tolist()
+        with pytest.raises(analysis.FitError, match="16 values for 17 thetas"):
+            analysis.fit_visibility(THETAS, values[:-1])
+        with pytest.raises(analysis.FitError, match="18 stderrs for 17 thetas"):
+            analysis.fit_visibility(THETAS, values, [0.01] * 18)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_exact_fit_on_random_scans(self, weighted):
+        rng = random.Random(12)
+        for _ in range(30):
+            thetas, values, errs = random_scan(rng)
+            assert_matches_exact_fit(thetas, values, errs if weighted else None)
+
+    def test_matches_exact_fit_on_floored_scans(self):
+        rng = random.Random(13)
+        scans = [scan for scan in (floored_scan(rng) for _ in range(60)) if 1e-6 in scan[2]]
+        # floors at a count of zero and of all windows, and enough scans
+        # with a floor that the fit accepts
+        assert {0.0, 1.0} <= {y for _, values, errs in scans
+                              for y, e in zip(values, errs) if e == 1e-6}
+        assert sum(assert_matches_exact_fit(*scan) for scan in scans) >= 10
 
 
 class TestBellParameter:

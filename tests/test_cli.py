@@ -780,6 +780,17 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(code, loaded_at_import, "numpy" in sys.modules)
 """
 
+#: fits a noiseless 17-point unit-visibility scan in a fresh interpreter in
+#: which any import of numpy fails, and prints whether V = 1 to 1e-12
+NUMPY_BLOCKED_FIT = """
+import math, sys
+sys.modules["numpy"] = None
+from qbs_sim.analysis import fit_visibility
+thetas = [2 * math.pi * i / 16 for i in range(17)]
+vis = fit_visibility(thetas, [0.5 + 0.5 * math.cos(t) for t in thetas])
+print(abs(vis.value - 1.0) <= 1e-12)
+"""
+
 
 class TestNumpyFreeExactPath:
     @pytest.mark.parametrize("argv,numpy_loaded", [
@@ -800,6 +811,13 @@ class TestNumpyFreeExactPath:
                                 capture_output=True, text=True, timeout=120,
                                 env=dict(os.environ, PYTHONPATH=path))
         assert result.stdout.split() == ["0", "False", str(numpy_loaded)], result.stderr
+
+    def test_fit_runs_with_numpy_blocked(self):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED_FIT],
+                                capture_output=True, text=True, timeout=120,
+                                env=dict(os.environ, PYTHONPATH=path))
+        assert result.stdout.split() == ["True"], result.stderr
 
 
 #: modules that no exact command needs
