@@ -170,7 +170,7 @@ def cmd_sweep(args) -> int:
         surf = analysis.surface_from_counts(thetas, alphas, tables)
     payload = surf.to_json() if args.format == "json" else surf.to_csv()
     if args.dump_state:  # first, so a bad path fails before the payload is out
-        state = qdc.build_qdc_state(_settings(args, thetas[0], alphas[0]))
+        [(_, state)] = qdc.build_qdc_state(_settings(args, thetas[0], alphas[0]))
         _write_file(args.dump_state, dump_state(state))
     _write(args, payload)
     print(f"points: {len(surf.values)}  min: {min(surf.values):.6f}  "
@@ -252,18 +252,21 @@ def cmd_verify(args) -> int:
     if args.grid * n_alpha > MAX_GRID_POINTS:
         raise UsageError(f"--grid {args.grid} gives more than {MAX_GRID_POINTS} points")
     thetas = linspace(0.0, 2.0 * math.pi, args.grid)
-    # checkpoint fidelities along the apparatus
+    # checkpoint fidelities along the apparatus; only the phase plate
+    # depends on theta, so every other element is built once
+    before, (splitter, *erasers) = qdc._test_side_halves(qdc.BASIS_HV)
+    rotators = [(alpha, el.polarization_rotator("c", alpha))
+                for alpha in (0.0, 30.0, 45.0, 90.0)]
+    entered = el.apply_all(before, qdc.bell_state())
     dev_pdbs = dev_erasers = dev_rot = 0.0
     for theta in thetas:
-        s = qdc.ExperimentSettings(theta=theta)
-        chain = qdc.test_side_circuit(s)
-        pre = el.apply_all(chain[:3], qdc.bell_state())
+        pre = el.apply_all([el.phase_shifter(qdc.PHASE_ARM, theta), splitter], entered)
         dev_pdbs = max(dev_pdbs, 1.0 - fidelity(pre, qdc.reference_after_pdbs(theta)))
-        full = el.apply_all(chain[3:], pre)
+        full = el.apply_all(erasers, pre)
         dev_erasers = max(dev_erasers,
                           1.0 - fidelity(full, qdc.reference_after_erasers(theta)))
-        for alpha in (0.0, 30.0, 45.0, 90.0):
-            rotated = el.apply(el.polarization_rotator("c", alpha), full)
+        for alpha, rotator in rotators:
+            rotated = el.apply(rotator, full)
             dev_rot = max(dev_rot, 1.0 - fidelity(
                 rotated, qdc.reference_after_rotator(theta, alpha)))
     report("splitter checkpoint fidelity", dev_pdbs, 1e-10)

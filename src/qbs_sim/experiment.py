@@ -21,8 +21,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import elements as el
-from .states import (H, V, POLARIZATIONS, Mode, MixedState, TwoPhotonState,
-                     make_state)
+from .states import H, V, POLARIZATIONS, Mode, TwoPhotonState, make_state
 from .surfaces import CorrelationSurface
 
 BASIS_HV = "HV"
@@ -82,10 +81,13 @@ def bell_state() -> TwoPhotonState:
     return make_state([((Mode("c", p), Mode("a", p)), 1.0) for p in POLARIZATIONS])
 
 
-def mixture_state() -> MixedState:
-    """Dephased Bell state: 1/2 |HH><HH| + 1/2 |VV><VV|."""
-    return MixedState([(0.5, make_state([((Mode("c", p), Mode("a", p)), 1.0)]))
-                       for p in POLARIZATIONS])
+def source(input: str) -> list[tuple[float, TwoPhotonState]]:
+    """The input as weighted pure two-photon components, the weights summing
+    to 1: the Bell state alone for the entangled input, and its terms |HH>
+    and |VV> at 1/2 each for the dephased mixture 1/2 |HH><HH| + 1/2 |VV><VV|."""
+    if input == INPUT_ENTANGLED:
+        return [(1.0, bell_state())]
+    return [(0.5, make_state([((Mode("c", p), Mode("a", p)), 1.0)])) for p in POLARIZATIONS]
 
 
 def _test_side_halves(basis: str
@@ -116,16 +118,14 @@ def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
     return before + [el.phase_shifter(PHASE_ARM, settings.theta)] + after
 
 
-def build_qdc_state(settings: ExperimentSettings) -> TwoPhotonState | MixedState:
-    """Evolve the configured input through the full apparatus, element by
-    element.  This sparse path is the reference: it gives the checkpoint and
-    dumped states and ``montecarlo.joint_outcome_probabilities``, and the
-    compiled group forms are tested against it."""
+def build_qdc_state(settings: ExperimentSettings) -> list[tuple[float, TwoPhotonState]]:
+    """Evolve each component of the configured input's ``source`` through the
+    full apparatus, element by element: one ``(weight, state)`` per component.
+    This sparse path is the reference: it gives the checkpoint and dumped
+    states and ``montecarlo.joint_outcome_probabilities``, and the compiled
+    group forms are tested against it."""
     chain = test_side_circuit(settings) + [el.polarization_rotator("c", settings.alpha_deg)]
-    if settings.input == INPUT_ENTANGLED:
-        return el.apply_all(chain, bell_state())
-    return MixedState([(w, el.apply_all(chain, s))
-                       for w, s in mixture_state().components])
+    return [(w, el.apply_all(chain, s)) for w, s in source(settings.input)]
 
 
 def _through_arms(before, after, entrance: dict[Mode, complex]) -> tuple[dict, dict]:
@@ -143,16 +143,14 @@ def _compiled(basis: str, input: str
               ) -> tuple[tuple[tuple[float, float, float], ...], ...]:
     """The input carried through the test side, built once per key: for each
     group in ``GROUPS`` order, its forms ``(U, W, X)``, each as ``(c0, c1, c2)``
-    meaning c0 + Re(exp(i theta) (c1 - i c2)).  Each weighted source component's
+    meaning c0 + Re(exp(i theta) (c1 - i c2)).  Each weighted ``source`` component's
     test photon, with the corroborative photon H and V, goes through the two arms
     to ``u = a_H + exp(i theta) b_H`` and ``w = a_V + exp(i theta) b_V`` per
     terminal mode; the forms sum |u|^2, |w|^2 and Re(u conj(w)) over a group's
     modes and the components.  Summed per arm, c0 >= |c1 - i c2| to rounding."""
     halves = _test_side_halves(basis)
-    components = ([(1.0, bell_state())] if input == INPUT_ENTANGLED
-                  else mixture_state().components)
     forms = [[[0.0, 0.0, 0.0] for _ in range(3)] for _ in GROUPS]
-    for weight, state in components:
+    for weight, state in source(input):
         arms = [_through_arms(*halves, {tm: x for (cm, tm), x in state.amplitudes.items()
                                         if cm.pol == cp}) for cp in POLARIZATIONS]
         for mode in TERMINAL_MODES:

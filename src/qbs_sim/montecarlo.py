@@ -25,7 +25,7 @@ from operator import index
 from typing import NamedTuple
 
 from . import experiment as qdc
-from .states import POLARIZATIONS, MixedState
+from .states import POLARIZATIONS
 
 class _Model(NamedTuple):
     efficiency: float = 0.25        # per-detector click survival probability
@@ -78,12 +78,11 @@ class CountTable(NamedTuple):
 
 
 def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]:
-    """Length-8 list over (corroborative pol x terminal path) outcomes, summed
-    from the sparse reference state of ``experiment.build_qdc_state``."""
-    state = qdc.build_qdc_state(settings)
-    components = state.components if isinstance(state, MixedState) else [(1.0, state)]
+    """Length-8 list over (corroborative pol x terminal path) outcomes: the
+    weighted sum over the evolved source components of the sparse reference
+    ``experiment.build_qdc_state``."""
     probs = [0.0] * 8
-    for weight, component in components:
+    for weight, component in qdc.build_qdc_state(settings):
         for (cm, tm), a in component.amplitudes.items():
             probs[4 * POLARIZATIONS.index(cm.pol) + qdc.TERMINAL_PATHS.index(tm.path)] += (
                 weight * abs(a) ** 2)

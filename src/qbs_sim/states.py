@@ -3,6 +3,8 @@
 A state is a normalized map (corroborative mode, test mode) -> amplitude,
 where a mode is a (spatial path, polarization) pair.  Only the two-photon
 sector is represented: every key is exactly one excitation on each side.
+There is no density matrix: every input, mixed or pure, is a list of
+weighted pure states (``experiment.source``).
 """
 from __future__ import annotations
 
@@ -13,8 +15,6 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-#: normalization tolerance for Sum |amp|^2 == 1
-NORM_TOL = 1e-12
 #: amplitudes below this magnitude are dropped from the sparse map
 PRUNE_TOL = 1e-15
 
@@ -55,23 +55,6 @@ class TwoPhotonState:
             f"{_key_str(k)}: {a:.4g}" for k, a in sorted(self.amplitudes.items())
         )
         return f"TwoPhotonState({terms})"
-
-
-class MixedState:
-    """Weighted ensemble of pure TwoPhotonStates (classical mixture)."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: list[tuple[float, TwoPhotonState]]):
-        if not components:
-            raise StateError("empty mixture")
-        for w, _ in components:
-            if w < 0.0:
-                raise StateError(f"negative mixture weight {w}")
-        total = sum(w for w, _ in components)
-        if abs(total - 1.0) > NORM_TOL:
-            raise StateError(f"mixture weights sum to {total}, expected 1")
-        self.components = list(components)
 
 
 def make_state(entries: Iterable[tuple[ModePair, complex]]) -> TwoPhotonState:

@@ -339,7 +339,7 @@ class TestSweep:
         )
         assert code == 0
         dumped = TwoPhotonState(reference.parse_dump(state_file.read_text()))
-        expected = qdc.build_qdc_state(
+        [(_, expected)] = qdc.build_qdc_state(
             qdc.ExperimentSettings(theta=0.7, alpha_deg=30.0)
         )
         assert fidelity(dumped, expected) > 1 - 1e-12
@@ -566,6 +566,21 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") == 5
+
+    def test_builds_only_the_phase_plate_per_theta(self, capsys, monkeypatch):
+        # with the compiled apparatus cached, four more thetas build four
+        # more elements, all of them phase plates on the phase arm
+        qdc._compiled(qdc.BASIS_HV, qdc.INPUT_ENTANGLED)
+        built = {}  # grid -> (elements, phase plates)
+        for grid in (5, 9):
+            names = []
+            monkeypatch.setattr(el, "check_unitary", lambda e: names.append(e.name) or 0.0)
+            code, _, _ = run_cli(capsys, "verify", "--grid", str(grid))
+            assert code == 0
+            built[grid] = (len(names),
+                           sum(n.startswith(f"phase({qdc.PHASE_ARM},") for n in names))
+        assert built[9][0] - built[5][0] == 4
+        assert built[9][1] - built[5][1] == 4
 
     @pytest.mark.parametrize("splitter", ["pdbs", "beam_splitter_50_50"])
     def test_wrong_splitter_convention_detected(self, capsys, monkeypatch, splitter):

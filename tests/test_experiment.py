@@ -8,7 +8,7 @@ import reference
 from qbs_sim import elements as el
 from qbs_sim import experiment as qdc
 from qbs_sim import montecarlo as mc
-from qbs_sim.states import H, V, Mode, MixedState, fidelity
+from qbs_sim.states import H, V, Mode, fidelity
 
 
 def settings(**kw):
@@ -41,7 +41,7 @@ def group_joint(s, corroborative, group):
 class TestBuildState:
     def test_alpha_zero_matches_eraser_checkpoint(self):
         for theta in np.linspace(0, 2 * math.pi, 9):
-            state = qdc.build_qdc_state(settings(theta=float(theta)))
+            [(_, state)] = qdc.build_qdc_state(settings(theta=float(theta)))
             assert fidelity(state, qdc.reference_after_erasers(float(theta))) > 1 - 1e-10
 
     def test_lower_arm_amplitude_before_erasers(self):
@@ -58,13 +58,15 @@ class TestBuildState:
         # normalizes them: every element keeps each component's norm
         norms = reference.raw_norms(monkeypatch)
         s = settings(theta=1.3, input=qdc.INPUT_MIXTURE)
-        state = qdc.build_qdc_state(s)
-        assert isinstance(state, MixedState)
-        assert len(state.components) == 2
-        for w, _ in state.components:
+        components = qdc.build_qdc_state(s)
+        assert len(components) == 2
+        for w, _ in components:
             assert w == pytest.approx(0.5)
         assert len(norms) == 2 * (len(qdc.test_side_circuit(s)) + 1)  # + the rotator
         assert max(abs(n - 1.0) for n in norms) < 1e-12
+        # the entangled input is one component of weight 1
+        [(weight, _)] = qdc.build_qdc_state(s._replace(input=qdc.INPUT_ENTANGLED))
+        assert weight == 1.0
 
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +131,7 @@ class TestCategoryProbability:
         # brute-force amplitude expansion vs the closed form
         theta, alpha = 1.234, 37.0
         s = settings(theta=theta, alpha_deg=alpha)
-        state = qdc.build_qdc_state(s)
+        [(_, state)] = qdc.build_qdc_state(s)
         per_path = {
             p: sum(
                 abs(a) ** 2
@@ -170,9 +172,10 @@ class TestComplementary:
 
     def test_joint_categories_sum_to_group_marginal(self):
         s = settings(theta=0.7, alpha_deg=25.0)
+        [(_, state)] = qdc.build_qdc_state(s)
         p_a = sum(
             abs(a) ** 2
-            for (cm, tm), a in qdc.build_qdc_state(s).amplitudes.items()
+            for (cm, tm), a in state.amplitudes.items()
             if tm.path in qdc.GROUP_PATHS[qdc.GROUP_A]
         )
         joint_sum = group_joint(s, "D_H", qdc.GROUP_A) + group_joint(s, "D_V", qdc.GROUP_A)
@@ -229,10 +232,10 @@ class TestDaEquivalenceForEntangledInput:
         # diagonal frame is the same as offsetting the analyzer by 45 deg
         for theta in (0.0, 1.1, math.pi):
             for alpha in (0.0, 20.0, 45.0):
-                da = qdc.build_qdc_state(
+                [(_, da)] = qdc.build_qdc_state(
                     settings(theta=theta, alpha_deg=alpha, basis=qdc.BASIS_DA)
                 )
-                offset = qdc.build_qdc_state(
+                [(_, offset)] = qdc.build_qdc_state(
                     settings(theta=theta, alpha_deg=alpha + 45.0)
                 )
                 assert fidelity(da, offset) > 1 - 1e-10
@@ -241,11 +244,9 @@ class TestDaEquivalenceForEntangledInput:
 def reference_joint(s):
     """(corroborative pol, terminal path) probabilities from the sparse,
     element-by-element reference path, summed over the terminal
-    polarization."""
-    state = qdc.build_qdc_state(s)
-    components = state.components if isinstance(state, MixedState) else [(1.0, state)]
+    polarization, summed over the weighted source components."""
     out = np.zeros((2, len(qdc.TERMINAL_PATHS)))
-    for w, comp in components:
+    for w, comp in qdc.build_qdc_state(s):
         for (cm, tm), a in comp.amplitudes.items():
             out[(H, V).index(cm.pol), qdc.TERMINAL_PATHS.index(tm.path)] += w * abs(a) ** 2
     return out
@@ -312,7 +313,7 @@ class TestCompiledEquivalence:
         # carried from the same entrance amplitudes: those of each source
         # component of both inputs, with the corroborative photon H and V
         halves = qdc._test_side_halves(basis)
-        states = [qdc.bell_state()] + [s for _, s in qdc.mixture_state().components]
+        states = [s for i in (qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE) for _, s in qdc.source(i)]
         for state, cp in product(states, (H, V)):
             entrance = {tm: x for (cm, tm), x in state.amplitudes.items() if cm.pol == cp}
             a, b = qdc._through_arms(*halves, entrance)

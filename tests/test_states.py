@@ -7,7 +7,6 @@ import pytest
 from qbs_sim.states import (
     H,
     V,
-    MixedState,
     Mode,
     StateError,
     TwoPhotonState,
@@ -15,6 +14,7 @@ from qbs_sim.states import (
     fidelity,
     make_state,
 )
+from qbs_sim import experiment as qdc
 from reference import parse_dump
 
 CH, CV = Mode("c", H), Mode("c", V)
@@ -94,14 +94,24 @@ def test_fidelity_global_phase_and_symmetry():
         assert fidelity(s, t) == pytest.approx(fidelity(t, s), abs=1e-12)
 
 
-def test_mixture_negative_weight_rejected():
-    with pytest.raises(StateError):
-        MixedState([(-0.1, bell()), (1.1, bell())])
-
-
-def test_mixture_weights_must_sum_to_one():
-    with pytest.raises(StateError):
-        MixedState([(0.4, bell()), (0.4, bell())])
+@pytest.mark.parametrize("input", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
+def test_source_is_a_weighted_ensemble_of_pure_states(input):
+    components = qdc.source(input)
+    weights = [w for w, _ in components]
+    assert min(weights) >= 0.0
+    assert abs(sum(weights) - 1.0) <= 1e-12
+    for _, state in components:
+        assert abs(sum(abs(a) ** 2 for a in state.amplitudes.values()) - 1.0) <= 1e-12
+    if input == qdc.INPUT_ENTANGLED:
+        [(weight, state)] = components
+        assert weight == 1.0
+        assert state.amplitudes == qdc.bell_state().amplitudes
+    else:
+        # the dephased Bell state: each component is one of its two terms
+        terms = [{key} for key in qdc.bell_state().amplitudes]
+        assert [set(state.amplitudes) for _, state in components] == terms
+        for _, state in components:
+            assert fidelity(state, qdc.bell_state()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dump_load_round_trip():
