@@ -2,8 +2,8 @@
 parameter from two-basis visibilities, sampled surfaces, and the
 space-like-separation check.
 
-Everything here is plain Python: the module imports no numpy, so a command
-that fits a phase scan never pages in numpy's linear-algebra libraries.
+Everything here is plain Python, as in the rest of the package: no module
+imports numpy.
 """
 from __future__ import annotations
 

@@ -10,9 +10,9 @@ Subcommands:
 Grid syntax is start:stop:steps with inclusive endpoints; theta is in
 radians, alpha in degrees.  Exit codes: 0 success, 1 validation error,
 2 runtime or self-check failure.  Stdout carries only the payload; the seed
-and other diagnostics go to stderr.  The sampler (and numpy with it) is
-imported only by the sampled commands, and the analysis module only by the
-commands that use it.
+and other diagnostics go to stderr.  The sampler is imported only by the
+sampled commands, and the analysis module only by the commands that use it;
+no command imports numpy.
 """
 from __future__ import annotations
 
@@ -111,13 +111,14 @@ def _model(args) -> mc.DetectionModel:
 
 def _shots_per_point(shots: int, points: int, what: str) -> int:
     """``shots`` split evenly over ``points``: at least one window each, and
-    at most the 2**63 - 1 that the sampler's multinomial draw takes."""
+    at most 2**63 - 1, so that every count fits a signed 64-bit integer for
+    whatever reads the tables; the sampler's binomials are tested up to it."""
     per_point = shots // points
     if per_point < 1:
         raise UsageError(f"--shots {shots} is below the {points} {what}")
     if per_point >= 1 << 63:
         raise UsageError(f"--shots {shots} gives {per_point} windows per point, "
-                         "more than the 2**63 - 1 that one draw takes")
+                         "more than 2**63 - 1")
     return per_point
 
 
@@ -178,15 +179,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _scan_visibility(args, model, basis, alpha, basis_index, per_point):
-    """Fit one phase scan, drawn in one ``run_grid`` call in which every
-    point has its own RNG stream; returns the fit and the count tables."""
+def _scan_visibility(args, model, basis, alpha, stream, per_point):
+    """Fit one phase scan, drawn in one ``run_grid`` call on ``stream``;
+    returns the fit and the count tables."""
     from . import analysis, montecarlo as mc
 
     thetas = linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
     tables = mc.run_grid(qdc.ExperimentSettings(basis=basis, input=args.input), model,
-                         thetas, [alpha], per_point,
-                         first_stream=basis_index * BELL_SCAN_POINTS)
+                         thetas, [alpha], per_point, stream)
     surf = analysis.surface_from_counts(thetas, [alpha], tables)
     errs = [max(e, 1e-6) for e in surf.stderrs]
     return analysis.fit_visibility(thetas, surf.values, errs), tables

@@ -9,19 +9,22 @@ else is counted as a discard, mirroring hardware XOR gating.
 
 Those three draws are independent, so the probabilities of the 6 count cells
 have a closed form (``window_probability_grid``), and a whole count table is
-a single multinomial draw from it.  ``run_grid`` evaluates those
-probabilities for a whole (theta, alpha) grid at once and draws each point
-from its own RNG stream.
+one multinomial draw from it, made as a chain of five exact binomials
+(``_table``).  ``run_grid`` evaluates those probabilities for a whole (theta,
+alpha) grid at once and draws its points in row-major order from one
+generator, ``random.Random((seed << 32) | stream)``.
 
-Stream ``k`` of a seed is numpy's ``PCG64(SeedSequence(entropy=seed,
-spawn_key=(k,)))``, for k in [0, 2**32).  ``_stream_states`` derives the
-states of a grid's streams in one vectorized pass, and ``run_grid`` loads
-them into one generator, so the draws are those of a generator per point.
+The binomials (``_binomial``) use only that generator's ``random()``: the
+geometric method below n*p = 10 and Hoermann's BTRS above it.  So the module
+imports no numpy, and a seed's tables depend on Python's Mersenne
+Twister and ``math`` functions only, not on a numpy version.
 """
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate
+from math import floor, lgamma, log, log1p, pi, sqrt
 from operator import index
+from random import Random
 from typing import NamedTuple
 
 from . import experiment as qdc
@@ -149,86 +152,120 @@ def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
     """Draw a CountTable over ``n_shots`` windows at the point of ``settings``
     from RNG stream ``stream`` (see ``run_grid``)."""
     return run_grid(settings, model, [settings.theta], [settings.alpha_deg],
-                    n_shots, first_stream=stream)[0]
+                    n_shots, stream)[0]
 
 
-# numpy's SeedSequence hash constants, and PCG64's 128-bit LCG multiplier
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+#: ``_stirling_tail(k)`` for k < 10, where the series is not yet accurate
+_STIRLING_TAIL = tuple(lgamma(k + 1.0) - (k + 0.5) * log(k + 1.0) + k + 1.0
+                       - 0.5 * log(2.0 * pi) for k in range(10))
 
 
-def _hash_constants(const: int, mult: int):
-    """The (constant, next constant) pairs of successive hash calls."""
+def _stirling_tail(k: int) -> float:
+    """``log(k!) - ((k + 1/2) log(k + 1) - (k + 1) + log(2 pi) / 2)``, by
+    table below 10 and by Stirling's series (error below 4e-13) above."""
+    if k < 10:
+        return _STIRLING_TAIL[k]
+    x = 1.0 / (k + 1)
+    x2 = x * x
+    return (1.0 / 12 - x2 * (1.0 / 360 - x2 * (1.0 / 1260 - x2 / 1680))) * x
+
+
+def _binomial(random, n: int, p: float) -> int:
+    """An exact Binomial(n, p) variate for an int ``n >= 0`` and ``0 <= p <=
+    1``, from the uniform ``random()``.  p > 1/2 draws the failures.  Below
+    n*p = 10 the successes are counted by geometric waiting times; above it
+    Hoermann's BTRS (1993) draws them by transformed rejection."""
+    if p > 0.5:
+        return n - _binomial(random, n, 1.0 - p)
+    if n * p < 10.0:
+        if p <= 0.0:
+            return 0
+        log_q = log1p(-p)
+        k, left = 0, n  # successes so far, trials left
+        while True:
+            t = log(1.0 - random()) / log_q  # failures before the next success, floored
+            if t >= left:
+                return k
+            left -= int(t) + 1
+            k += 1
+    spq = sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    alpha = (2.83 + 5.1 / b) * spq
+    v_r = 0.92 - 4.2 / b
+    r = p / (1.0 - p)
+    nr = (n + 1) * r
+    # the hat's centre n*p + 1/2 = c + frac, and the mode m = floor((n + 1) p);
+    # beyond 2**32 windows a float product would round off their units, so
+    # they are computed exactly
+    c, frac, m = 0, n * p + 0.5, floor((n + 1) * p)
+    if n >> 32:
+        num, den = p.as_integer_ratio()
+        c, frac = divmod(2 * n * num + den, 2 * den)
+        frac /= 2 * den
+        m = (n + 1) * num // den
     while True:
-        nxt = const * mult & _MASK32
-        yield const, nxt
-        const = nxt
+        u = random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = c + floor((2.0 * a / us + b) * u + frac)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - random()  # in (0, 1], so that its log is finite
+        if us >= 0.07 and v <= v_r:
+            return k
+        # accept k with probability f(k)/f(m) under the hat, f the pmf
+        v *= alpha / (a / (us * us) + b)
+        j = k - m
+        if -15 <= j <= 15:  # f(k)/f(m) as a product of successive ratios
+            f = 1.0
+            for i in range(m + 1, k + 1):
+                f *= nr / i - r
+            for i in range(k + 1, m + 1):
+                v *= nr / i - r
+            if v <= f:
+                return k
+        # log f(k)/f(m), each log-factorial difference in Stirling form with
+        # log1p of the exact ratio: a plain lgamma difference loses all
+        # precision near n = 2**62
+        elif log(v) <= (j * (log(r) - log((m + 1) / (n - m + 1)))
+                        - (k + 0.5) * log1p(j / (m + 1))
+                        - (n - k + 0.5) * log1p(-j / (n - m + 1))
+                        + _stirling_tail(m) + _stirling_tail(n - m)
+                        - _stirling_tail(k) - _stirling_tail(n - k)):
+            return k
 
 
-def _hash(value, const: int, nxt: int):
-    """``SeedSequence``'s hash of ``value``, a Python int or a uint32 array."""
-    value = (value ^ const) * nxt & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """``SeedSequence``'s mix of a pool word ``x`` with a hashed word ``y``."""
-    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
-    return value ^ value >> 16
-
-
-def _stream_states(seed: int, first_stream: int, n: int) -> list[tuple[int, int]]:
-    """The PCG64 ``(state, inc)`` of streams ``first_stream`` to ``first_stream
-    + n - 1``, as numpy's ``SeedSequence`` mixing, ``generate_state(4,
-    uint64)`` and PCG64 seeding give them.  The seed is mixed once; only the
-    spawn key, which must fit in one 32-bit word, is mixed per stream."""
-    import numpy as np
-
-    if first_stream < 0 or first_stream + n > 1 << 32:
-        raise ValueError(f"streams {first_stream} to {first_stream + n - 1} "
-                         "lie outside [0, 2**32)")
-    seed = index(seed)  # a numpy integer seeds like the Python int
-    # the seed's 32-bit words, padded to the 4-word pool as before a spawn key
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 128), 32)]
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hash(w, *next(consts)) for w in words[:4]]
-    for src, dst in permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(consts)))
-    keys = np.arange(first_stream, first_stream + n, dtype=np.uint64).astype(np.uint32)
-    for word in words[4:] + [keys]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(consts)))
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    out = [_hash(pool[i % 4], *next(consts)).astype(np.uint64) for i in range(8)]
-    s_hi, s_lo, q_hi, q_lo = ((out[2 * i + 1] << 32 | out[2 * i]).tolist() for i in range(4))
-    incs = [(hi << 65 | lo << 1 | 1) & _MASK128 for hi, lo in zip(q_hi, q_lo)]
-    return [(((hi << 64 | lo) + inc) * _PCG64_MULT + inc & _MASK128, inc)
-            for hi, lo, inc in zip(s_hi, s_lo, incs)]
+def _table(random, n: int, cells) -> CountTable:
+    """The CountTable of ``n`` windows with cell probabilities ``cells``: a
+    chain of five binomials, each cell drawn from the windows left at its
+    share of the cells not yet drawn; the last cell takes what is left."""
+    tails = list(accumulate(reversed(cells)))
+    counts = []
+    for p, tail in zip(cells[:5], tails[:0:-1]):
+        k = _binomial(random, n, p / tail) if p > 0.0 else 0
+        counts.append(k)
+        n -= k
+    counts.append(n)
+    return CountTable._make(counts)
 
 
 def run_grid(settings: qdc.ExperimentSettings, model: DetectionModel, thetas,
-             alphas_deg, shots_per_point: int, first_stream: int = 0) -> list[CountTable]:
-    """One CountTable per (theta, alpha) grid point, row-major, each drawn in
-    one multinomial from the grid's window probabilities.
+             alphas_deg, shots_per_point: int, stream: int = 0) -> list[CountTable]:
+    """One CountTable per (theta, alpha) grid point, row-major, each drawn
+    from the grid's window probabilities by ``_table``.
 
-    Point ``i`` draws from stream ``first_stream + i`` of the seed (see
-    ``_stream_states``), so repeated calls give the same tables and a point
-    gets the same table as a ``run`` at that point with that stream.
+    The points are drawn in turn from one generator,
+    ``random.Random((seed << 32) | stream)`` for a ``stream`` in [0, 2**32),
+    so repeated calls give the same tables and each (seed, stream) pair has
+    its own sequence.
     """
-    import numpy as np
-
     if shots_per_point <= 0:
         raise ValueError("shots per point must be positive")
-    cells = [p for row in window_probability_grid(settings, model, thetas, alphas_deg)
-             for p in row]
-    bit_generator = np.random.PCG64(0)  # a fixed seed: each point sets its state
-    rng = np.random.Generator(bit_generator)
-    tables = []
-    for p, (state, inc) in zip(cells, _stream_states(model.seed, first_stream, len(cells))):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        tables.append(CountTable._make(rng.multinomial(shots_per_point, p).tolist()))
-    return tables
-
+    if not 0 <= stream < 1 << 32:
+        raise ValueError(f"stream {stream} lies outside [0, 2**32)")
+    random = Random(index(model.seed) << 32 | stream).random
+    return [_table(random, shots_per_point, cells)
+            for row in window_probability_grid(settings, model, thetas, alphas_deg)
+            for cells in row]

@@ -1,6 +1,6 @@
 """Golden outputs of CLI commands: stdout, stderr and exit code of each
 command in ``CASES`` (and the file a ``--dump-state`` command writes), stored
-in ``tests/golden/<name>.json`` with the numpy version that drew them.
+in ``tests/golden/<name>.json`` with the Python version that wrote them.
 ``test_golden.py`` compares them: text, integers and exit codes exactly, the
 stdout of sampled commands exactly, and for the analytic commands in
 ``ANALYTIC`` every float to ``FLOAT_TOL`` except the theta and alpha columns,
@@ -8,15 +8,18 @@ which must match exactly.
 
 Regenerating a golden file is a deliberate act: do it only for a change that
 alters the output on purpose, and name each regenerated file and the reason
-in CHANGES.md.
+in CHANGES.md.  Name the cases to regenerate; with no names, every file is
+rewritten.
 
-    PYTHONPATH=src python tests/regenerate_goldens.py
+    PYTHONPATH=src python tests/regenerate_goldens.py [NAME ...]
 """
 from __future__ import annotations
 
 import io
 import json
+import platform
 import re
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -34,12 +37,13 @@ _SWEEP = ["sweep", "--shots", "20000", "--input", "mixture", "--basis", "da"] + 
 CASES = {
     "sweep-mixture-da-seed1": _SWEEP + ["--seed", "1"],
     "sweep-mixture-da-seed2": _SWEEP + ["--seed", "2"],
-    # seven 32-bit words: more run entropy than numpy's 4-word seed pool
+    # a 200-bit seed: every bit of it keys the generator
     "sweep-mixture-da-seed2pow200m1": _SWEEP + ["--seed", str(2**200 - 1)],
     "sweep-mixture-da-seed1-json": _SWEEP + ["--seed", "1", "--format", "json"],
     "bell-seed1": ["bell", "--shots", "100000", "--seed", "1"],
-    # the visibility fit fails at this seed (exit 2)
     "bell-seed21": ["bell", "--shots", "100000", "--seed", "21"],
+    # the visibility fit fails at this seed (exit 2)
+    "bell-fit-fails-seed3": ["bell", "--shots", "100000", "--seed", "3"],
     "bell-mixture-seed1": ["bell", "--input", "mixture", "--shots", "100000",
                            "--seed", "1"],
     # the bell-scan benchmark command with a tenth of its shots
@@ -108,13 +112,15 @@ def mismatch(expected: str | None, got: str | None, analytic: bool) -> str | Non
     return None
 
 
-def main():
-    import numpy as np
-
+def main(names: list[str]):
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"no golden case {', '.join(unknown)}")
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name in names or CASES:
+        argv = CASES[name]
         result = capture(argv)
-        record = {"numpy": np.__version__, "regenerate": REGENERATE, "argv": argv,
+        record = {"python": platform.python_version(), "regenerate": REGENERATE, "argv": argv,
                   "exit_code": result["exit_code"],
                   # one string per line, so a changed byte shows as a changed line
                   **{key: result[key].splitlines(keepends=True)
@@ -126,4 +132,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -363,7 +363,7 @@ class TestBell:
         out_file = tmp_path / "bell.txt"
         code, out, _ = run_cli(
             capsys,
-            "bell", "--shots", "60000", "--seed", "11", "--output", str(out_file),
+            "bell", "--shots", "1000000", "--seed", "11", "--output", str(out_file),
         )
         assert code == 0
         assert out == ""
@@ -399,30 +399,33 @@ class TestBell:
         assert err.splitlines()[-1] == "failure: no conditioned counts at theta=0.0, alpha=90.0"
 
     def test_reports_window_counts(self, capsys):
-        code, out, err = run_cli(capsys, "bell", "--shots", "60000", "--seed", "11")
+        code, out, err = run_cli(capsys, "bell", "--shots", "1000000", "--seed", "11")
         assert code == 0
         assert [l.split()[0] for l in out.splitlines()] == ["V_HV", "V_DA", "S"]
         counts = window_counts(err)
-        per_point = 60000 // (2 * cli.BELL_SCAN_POINTS)
+        per_point = 1000000 // (2 * cli.BELL_SCAN_POINTS)
         assert counts["shots"] == per_point * 2 * cli.BELL_SCAN_POINTS
         assert counts["valid"] + counts["discarded_zero"] + counts["discarded_multi"] \
             == counts["shots"]
+        # the HV scan on stream 0, the DA scan on stream 1
         thetas = np.linspace(0.0, 2.0 * math.pi, cli.BELL_SCAN_POINTS)
         model = mc.DetectionModel(seed=11)
         tables = [
             table
-            for i, (basis, alpha) in enumerate(((qdc.BASIS_HV, 90.0), (qdc.BASIS_DA, 45.0)))
+            for stream, (basis, alpha) in enumerate(((qdc.BASIS_HV, 90.0),
+                                                     (qdc.BASIS_DA, 45.0)))
             for table in mc.run_grid(qdc.ExperimentSettings(basis=basis), model, thetas,
-                                     [alpha], per_point, first_stream=i * cli.BELL_SCAN_POINTS)
+                                     [alpha], per_point, stream=stream)
         ]
         assert counts == summed(tables)
 
 
 class TestSampledGrid:
-    """The batched sampled commands against a point-by-point rebuild from
-    ``mc.run``, one RNG stream per point."""
+    """The batched sampled commands against their output rebuilt from
+    ``mc.run_grid`` calls: one for a sweep, one per phase scan for ``bell``
+    (stream 0 for HV, 1 for DA)."""
 
-    def test_sweep_matches_point_by_point_runs(self, capsys):
+    def test_sweep_matches_one_run_grid_call(self, capsys):
         thetas, alphas = cli.parse_grid("0:6.28:4"), cli.parse_grid("10:80:3")
         code, out, _ = run_cli(
             capsys, "sweep", "--theta", "0:6.28:4", "--alpha", "10:80:3",
@@ -431,16 +434,12 @@ class TestSampledGrid:
         )
         assert code == 0
         model = mc.DetectionModel(efficiency=0.5, dark_probability=0.01, seed=13)
-        points = [(float(t), float(a)) for t in thetas for a in alphas]
-        tables = [
-            mc.run(qdc.ExperimentSettings(theta=t, alpha_deg=a, basis=qdc.BASIS_DA,
-                                          input=qdc.INPUT_MIXTURE),
-                   model, 1000, stream=i)
-            for i, (t, a) in enumerate(points)
-        ]
+        tables = mc.run_grid(qdc.ExperimentSettings(basis=qdc.BASIS_DA,
+                                                    input=qdc.INPUT_MIXTURE),
+                             model, thetas, alphas, 1000, stream=0)
         assert out == analysis.surface_from_counts(thetas, alphas, tables).to_csv()
 
-    def test_bell_matches_point_by_point_runs(self, capsys):
+    def test_bell_matches_two_run_grid_calls(self, capsys):
         code, out, _ = run_cli(capsys, "bell", "--shots", "100000", "--seed", "17",
                                "--dark", "1.3e-3")
         assert code == 0
@@ -448,12 +447,11 @@ class TestSampledGrid:
         per_point = 100000 // (2 * cli.BELL_SCAN_POINTS)
         thetas = np.linspace(0.0, 2.0 * math.pi, cli.BELL_SCAN_POINTS)
 
-        def scan(basis, alpha, basis_index):
+        def scan(basis, alpha, stream):
             values, errs = [], []
-            for i, theta in enumerate(thetas):
-                s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha, basis=basis)
-                est = analysis.estimate(mc.run(s, model, per_point,
-                                               stream=basis_index * cli.BELL_SCAN_POINTS + i))
+            for table in mc.run_grid(qdc.ExperimentSettings(basis=basis), model, thetas,
+                                     [alpha], per_point, stream=stream):
+                est = analysis.estimate(table)
                 values.append(est.value)
                 errs.append(max(est.stderr, 1e-6))
             return analysis.fit_visibility(thetas, values, errs)
@@ -652,7 +650,7 @@ class TestNegativeValues:
         ["sweep", "--theta", "-1:1:3", "--alpha", "0:90:2"],
         ["sweep", "--theta", "0:1:2", "--alpha", "-30:-1e1:3"],
         ["sweep", "--theta", "-.5:.5:3", "--alpha", "-4.5e1:0:2", "--format", "json"],
-        ["sweep", "--theta", "-1:1:2", "--alpha", "-90:0:2", "--shots", "400",
+        ["sweep", "--theta", "-1:1:2", "--alpha", "-90:0:2", "--shots", "40000",
          "--seed", "1"],
         ["causality", "--delta-t", "-1e3"],
         ["causality", "--delta-t", "-.5", "--delta-x", "-20"],
@@ -815,9 +813,9 @@ class TestNumpyFreeExactPath:
         (["sweep", "--format", "json", "--basis", "da", "--input", "mixture"], False),
         (["sweep", "--theta", "0.5:0.5:1", "--alpha", "0:90:4", "--dump-state", "STATE"],
          False),
-        # the probe sees numpy where the sampler loads it
+        # the sampler draws its counts in plain Python too
         (["sweep", "--shots", "1000", "--seed", "1", "--theta", "0:1:2",
-          "--alpha", "0:90:2"], True),
+          "--alpha", "0:90:2"], False),
     ])
     def test_numpy_loaded_only_to_sample(self, tmp_path, argv, numpy_loaded):
         argv = [str(tmp_path / "state.json") if a == "STATE" else a for a in argv]
@@ -890,3 +888,19 @@ class TestStartupImports:
              "--alpha", "0:90:2"])
         assert (code, at_start) == (0, "-")
         assert {"qbs_sim.montecarlo", "qbs_sim.analysis"} <= set(after.split(","))
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--theta", "0:6.283185307179586:41", "--alpha", "0:90:17"],
+        ["sweep", "--theta", "0.5:0.5:1", "--alpha", "0:90:4", "--dump-state", "STATE"],
+        ["sweep", "--shots", "1000", "--seed", "1", "--theta", "0:1:2", "--alpha", "0:90:2"],
+        ["sweep", "--shots", "1000", "--seed", "1", "--theta", "0:1:2", "--alpha", "0:90:2",
+         "--format", "json"],
+        ["bell", "--shots", "1000000", "--seed", "1"],
+        ["causality", "--fiber-length", "50"],
+        ["verify"],
+    ])
+    def test_no_command_loads_numpy(self, tmp_path, argv):
+        argv = [str(tmp_path / "state.json") if a == "STATE" else a for a in argv]
+        code, at_start, after = probe_startup(argv)
+        assert code == 0
+        assert "numpy" not in at_start.split(",") + after.split(",")

@@ -2,7 +2,8 @@
 ``regenerate_goldens.py``): exit code and text exactly, sampled stdout
 exactly, and analytic floats to 1e-12 with the theta and alpha columns
 exact."""
-import numpy as np
+import platform
+
 import pytest
 
 import regenerate_goldens as golden
@@ -14,10 +15,12 @@ def test_matches_golden(name):
     assert expected["argv"] == golden.CASES[name], (
         f"{name}.json was written for other arguments; run {golden.REGENERATE}")
     got = golden.capture(expected["argv"])
+    written = (f" (written under Python {expected['python']}, running Python "
+               f"{platform.python_version()})" if "python" in expected else "")
     hint = (f"qbs-sim {' '.join(expected['argv'])} no longer gives the output of "
-            f"tests/golden/{name}.json (drawn with numpy {expected['numpy']}, "
-            f"running numpy {np.__version__}). If the change of output is "
-            f"deliberate, run {golden.REGENERATE} and name the file in CHANGES.md.")
+            f"tests/golden/{name}.json{written}. If the change of output is "
+            f"deliberate, run {golden.REGENERATE} {name} and name the file in "
+            f"CHANGES.md.")
     assert got["exit_code"] == expected["exit_code"], hint
     analytic = name in golden.ANALYTIC
     for key in ("stdout", "stderr", "dump"):

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -292,46 +294,64 @@ class TestGrid:
                              input=inp), model)
                 np.testing.assert_allclose(grid[i, j], point, rtol=0, atol=1e-15)
 
-    def test_run_grid_rows_equal_runs_on_their_streams(self):
+    def test_grid_is_drawn_row_major_from_one_generator(self):
+        # the points' tables are successive chains of one generator keyed by
+        # (seed << 32) | stream, so the first point is the one-point run
         model = mc.DetectionModel(efficiency=0.4, dark_probability=2e-3, seed=314)
         base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
-        tables = mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, first_stream=17)
-        points = [(t, a) for t in self.THETAS for a in self.ALPHAS]
-        assert len(tables) == len(points)
-        for i, ((theta, alpha), table) in enumerate(zip(points, tables)):
-            s = settings(theta=float(theta), alpha_deg=float(alpha), basis=base.basis,
-                         input=base.input)
-            assert table == mc.run(s, model, 5000, stream=17 + i)
-
-    @pytest.mark.parametrize("first_stream", [0, 17])
-    def test_streams_are_the_seeds_spawn_keys(self, first_stream):
-        # point i draws from SeedSequence(entropy=seed, spawn_key=(first_stream
-        # + i,)) through PCG64; run shares this derivation, so the grid test
-        # above cannot see it drift
-        model = mc.DetectionModel(efficiency=0.4, dark_probability=2e-3, seed=314)
-        base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
-        n = len(self.THETAS) * len(self.ALPHAS)
-        streams = mc._stream_states(model.seed, first_stream, n)
+        tables = mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, stream=17)
+        random = Random(314 << 32 | 17).random
         cells = [p for row in mc.window_probability_grid(base, model, self.THETAS,
                                                          self.ALPHAS) for p in row]
-        tables = mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, first_stream)
-        assert len(streams) == len(cells) == len(tables) == n
-        for i, (stream, p, table) in enumerate(zip(streams, cells, tables)):
-            ref = np.random.SeedSequence(entropy=model.seed, spawn_key=(first_stream + i,))
-            pcg = np.random.PCG64(ref).state["state"]
-            assert stream == (pcg["state"], pcg["inc"])
-            drawn = np.random.default_rng(ref).multinomial(5000, p).tolist()
-            assert drawn == list(table)
+        assert tables == [mc._table(random, 5000, p) for p in cells]
+        first = settings(theta=float(self.THETAS[0]), alpha_deg=float(self.ALPHAS[0]),
+                         basis=base.basis, input=base.input)
+        assert mc.run(first, model, 5000, stream=17) == tables[0]
 
-    # seeds of 1, 2, 3 and 7 uint32 words: 2**200 - 1 has more words than the
-    # 4-word pool, so its extra words are mixed in before the spawn key
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (314, 17), (2**63 - 1, 2**32 - 1),
+                                             (2**200 - 1, 1)])
+    def test_same_seed_and_stream_give_identical_tables(self, seed, stream):
+        model = mc.DetectionModel(seed=seed)
+        base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
+        first = mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, stream)
+        assert len(first) == len(self.THETAS) * len(self.ALPHAS)
+        assert mc.run_grid(base, model, self.THETAS, self.ALPHAS, 5000, stream) == first
+
+    @pytest.mark.parametrize("seed,stream,other", [
+        (314, 0, dict(stream=1)), (314, 17, dict(stream=18)),
+        (314, 0, dict(seed=315)), (0, 1, dict(seed=1, stream=0)),
+    ])
+    def test_streams_and_seeds_differ(self, seed, stream, other):
+        # (seed, stream) and (seed + 1, stream - 2**32) would share a key, but
+        # no stream lies outside [0, 2**32)
+        base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
+        one = mc.run_grid(base, mc.DetectionModel(seed=seed), self.THETAS, self.ALPHAS,
+                          5000, stream)
+        two = mc.run_grid(base, mc.DetectionModel(seed=other.get("seed", seed)), self.THETAS,
+                          self.ALPHAS, 5000, other.get("stream", stream))
+        assert sum(a != b for a, b in zip(one, two)) > len(one) // 2
+
+    # seeds of 1, 2, 3 and 7 uint32 words, so keys of up to 8 words
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**200 - 1])
     @pytest.mark.parametrize("first_stream", [0, 17, 10**6, 2**32 - 3])
     def test_stream_states_match_numpy_seeding(self, seed, first_stream):
-        got = mc._stream_states(seed, first_stream, 3)
-        for k, stream in enumerate(got, first_stream):
-            ref = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
-            assert stream == (ref.state["state"]["state"], ref.state["state"]["inc"])
+        # stream k's tables are the draws of the MT19937 that numpy's
+        # init_by_array seeding makes from the little-endian uint32 words of
+        # (seed << 32) | k, whose random_sample is the same 53-bit double;
+        # so the key and its seeding are pinned by a second implementation
+        model = mc.DetectionModel(efficiency=0.4, dark_probability=2e-3, seed=seed)
+        base = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
+        thetas, alphas = self.THETAS[:2], self.ALPHAS[:3]
+        cells = [p for row in mc.window_probability_grid(base, model, thetas, alphas)
+                 for p in row]
+        for k in range(first_stream, first_stream + 3):
+            key, words = seed << 32 | k, []
+            while key or not words:
+                words.append(key & 0xFFFFFFFF)
+                key >>= 32
+            random = np.random.RandomState(words).random_sample
+            assert mc.run_grid(base, model, thetas, alphas, 5000, stream=k) == [
+                mc._table(random, 5000, p) for p in cells]
 
     def test_seed_must_be_an_integer(self):
         s = settings()
@@ -340,15 +360,108 @@ class TestGrid:
         with pytest.raises(TypeError):
             mc.run(s, mc.DetectionModel(seed=1.5), 1000)
 
-    @pytest.mark.parametrize("first_stream,n", [(-1, 1), (-3, 5), (2**32, 1), (2**32 - 2, 3)])
-    def test_streams_outside_32_bits_rejected(self, first_stream, n):
-        # a stream index must fit in one 32-bit spawn-key word
+    @pytest.mark.parametrize("stream,n", [(-1, 1), (-3, 5), (2**32, 1)])
+    def test_streams_outside_32_bits_rejected(self, stream, n):
+        # a stream must fit below the seed in the generator's key
         model = mc.DetectionModel(seed=7)
-        with pytest.raises(ValueError):
-            mc.run_grid(settings(), model, [0.0], [0.0] * n, 100, first_stream=first_stream)
-        if n == 1:
-            with pytest.raises(ValueError):
-                mc.run(settings(), model, 100, stream=first_stream)
+        with pytest.raises(ValueError, match="outside"):
+            mc.run_grid(settings(), model, [0.0], [0.0] * n, 100, stream=stream)
+        with pytest.raises(ValueError, match="outside"):
+            mc.run(settings(), model, 100, stream=stream)
+
+
+def binomial_pmf(n, p):
+    """The exact Binomial(n, p) pmf, by lgamma, which is accurate at these n."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_n = math.lgamma(n + 1)
+    return [math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                     + k * log_p + (n - k) * log_q) for k in range(n + 1)]
+
+
+def chi_square(draws, pmf):
+    """Pearson's statistic of ``draws`` against ``pmf``, neighbouring values
+    pooled until each bin expects at least 5, and its degrees of freedom."""
+    counts = [0] * len(pmf)
+    for k in draws:
+        counts[k] += 1
+    bins, observed, expected = [], 0, 0.0
+    for count, q in zip(counts, pmf):
+        observed, expected = observed + count, expected + len(draws) * q
+        if expected >= 5.0:
+            bins.append((observed, expected))
+            observed, expected = 0, 0.0
+    last_o, last_e = bins.pop()
+    bins.append((last_o + observed, last_e + expected))
+    return sum((o - e) ** 2 / e for o, e in bins), len(bins) - 1
+
+
+def chi_square_critical(dof):
+    """The 0.1 % upper critical value of chi-square (Wilson-Hilferty)."""
+    z = 3.0902  # the 0.1 % upper quantile of the standard normal
+    return dof * (1.0 - 2.0 / (9 * dof) + z * math.sqrt(2.0 / (9 * dof))) ** 3
+
+
+class TestBinomial:
+    """``_binomial`` against the exact binomial distribution: its whole pmf
+    by a binned chi-square where the support is small, its first four
+    moments where it is not."""
+
+    @pytest.mark.parametrize("n,p", [
+        (2000, 0.37), (2000, 0.015), (29411, 0.0156),  # BTRS
+        (100, 0.099), (100, 0.101),  # either side of the n*p = 10 switch
+        (50, 0.9),  # p > 1/2, by symmetry
+        (1, 0.3), (12, 0.5),
+    ])
+    def test_pmf_chi_square(self, n, p):
+        random = Random(20261021).random
+        draws = [mc._binomial(random, n, p) for _ in range(50_000)]
+        assert all(type(k) is int and 0 <= k <= n for k in draws)
+        chi2, dof = chi_square(draws, binomial_pmf(n, p))
+        assert dof >= 1
+        assert chi2 < chi_square_critical(max(dof, 5)), (chi2, dof)
+
+    @pytest.mark.parametrize("n", [2**62, 2**63 - 1])
+    @pytest.mark.parametrize("p", [0.37, 0.9, 1e-17])
+    def test_moments_at_huge_n(self, n, p):
+        # mean, variance, skewness and kurtosis of 20000 draws, each within
+        # about 6 standard errors of the binomial's own
+        draws = 20_000
+        random = Random(62).random
+        mean = n * Fraction(p)
+        base = int(mean)  # deviations from it are exact floats
+        dev = [float(mc._binomial(random, n, p) - base) for _ in range(draws)]
+        var = float(mean * (1 - Fraction(p)))
+        m1 = sum(dev) / draws
+        assert abs(m1 - float(mean - base)) < 6 * math.sqrt(var / draws)
+        central = [x - m1 for x in dev]
+        m2 = sum(x * x for x in central) / draws
+        skew = sum(x ** 3 for x in central) / draws / m2 ** 1.5
+        kurt = sum(x ** 4 for x in central) / draws / m2 ** 2
+        assert abs(m2 / var - 1.0) < 6 * math.sqrt(2.0 / draws)
+        assert abs(skew - (1.0 - 2.0 * p) / math.sqrt(var)) < 6 * math.sqrt(6.0 / draws)
+        assert abs(kurt - 3.0 - (1.0 - 6.0 * p * (1.0 - p)) / var) < 6 * math.sqrt(24.0 / draws)
+
+    def test_stirling_tail_matches_lgamma(self):
+        # the acceptance test's log-factorial remainders, which no chi-square
+        # at a feasible number of draws would resolve
+        for k in range(200):
+            exact = (math.lgamma(k + 1.0) - (k + 0.5) * math.log(k + 1.0) + k + 1.0
+                     - 0.5 * math.log(2.0 * math.pi))
+            assert mc._stirling_tail(k) == pytest.approx(exact, rel=0, abs=1e-11), k
+
+    @pytest.mark.parametrize("n", [2**62, 2**63 - 1])
+    def test_huge_n_loses_no_unit(self, n):
+        # a float hat centre near 1.7e18 rounds to a multiple of 256, and
+        # every draw would then be even
+        random = Random(3).random
+        assert {mc._binomial(random, n, 0.37) % 2 for _ in range(200)} == {0, 1}
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 2000, 2**63 - 1])
+    def test_certain_outcomes(self, n):
+        random = Random(5).random
+        assert mc._binomial(random, n, 0.0) == 0
+        assert mc._binomial(random, n, 1.0) == n
+        assert mc._binomial(random, 0, 0.3) == 0
 
 
 class TestCountTable:
