@@ -40,16 +40,15 @@ class SpacetimeEvent(NamedTuple):
 class Estimate(NamedTuple):
     value: float
     stderr: float
-    defined: bool = True
 
 
-def estimate(table: CountTable) -> Estimate:
+def estimate(table: CountTable) -> Estimate | None:
     """Intensity-correlation estimate ``h_a / (h_a + h_b)``, the share of the
     D_H-gated windows whose test click fell in group A, with a binomial
-    standard error."""
+    standard error; None when no D_H-gated window was counted."""
     n = table.h_a + table.h_b
     if n == 0:
-        return Estimate(float("nan"), float("nan"), defined=False)
+        return None
     p = table.h_a / n
     return Estimate(p, math.sqrt(p * (1.0 - p) / n))
 
@@ -163,7 +162,7 @@ def surface_from_counts(thetas: Sequence[float], alphas_deg: Sequence[float],
     values, stderrs = [], []
     for i, table in enumerate(tables):
         est = estimate(table)
-        if not est.defined:
+        if est is None:
             raise ValueError(f"no conditioned counts at theta={thetas[i // len(alphas_deg)]}"
                              f", alpha={alphas_deg[i % len(alphas_deg)]}")
         values.append(est.value)

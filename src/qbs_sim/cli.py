@@ -83,11 +83,9 @@ def parse_grid(spec: str) -> list[float]:
     return linspace(start, stop, steps)
 
 
-def _settings(args, theta=0.0, alpha=0.0) -> qdc.ExperimentSettings:
-    basis = qdc.BASIS_DA if args.basis.lower() == "da" else qdc.BASIS_HV
-    return qdc.ExperimentSettings(
-        theta=theta, alpha_deg=alpha, basis=basis, input=args.input
-    )
+def _settings(args) -> qdc.ExperimentSettings:
+    return qdc.ExperimentSettings(qdc.BASIS_DA if args.basis == "da" else qdc.BASIS_HV,
+                                  args.input)
 
 
 def _model(args) -> mc.DetectionModel:
@@ -153,25 +151,26 @@ def cmd_sweep(args) -> int:
                          f"more than {MAX_GRID_POINTS}")
     if args.dump_state and args.input != qdc.INPUT_ENTANGLED:
         raise UsageError("--dump-state requires the entangled input")
+    settings = _settings(args)
     if args.shots is None:
         unused = [f"--{name}" for name in ("seed", "efficiency", "dark")
                   if getattr(args, name) is not None]
         if unused:
             raise UsageError(f"{', '.join(unused)} needs --shots; "
                              "the analytic sweep has no detection model")
-        surf = qdc.surface(_settings(args), thetas, alphas)
+        surf = qdc.surface(settings, thetas, alphas)
     else:
         from . import analysis, montecarlo as mc
 
         per_point = _shots_per_point(args.shots, len(thetas) * len(alphas), "grid points")
         model = _model(args)
         print(f"seed: {model.seed}", file=sys.stderr)
-        tables = mc.run_grid(_settings(args), model, thetas, alphas, per_point)
+        tables = mc.run_grid(settings, model, thetas, alphas, per_point)
         _report_windows(tables)
         surf = analysis.surface_from_counts(thetas, alphas, tables)
     payload = surf.to_json() if args.format == "json" else surf.to_csv()
     if args.dump_state:  # first, so a bad path fails before the payload is out
-        [(_, state)] = qdc.build_qdc_state(_settings(args, thetas[0], alphas[0]))
+        [(_, state)] = qdc.build_qdc_state(settings, thetas[0], alphas[0])
         _write_file(args.dump_state, dump_state(state))
     _write(args, payload)
     print(f"points: {len(surf.values)}  min: {min(surf.values):.6f}  "
@@ -179,28 +178,29 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _scan_visibility(args, model, basis, alpha, stream, per_point):
-    """Fit one phase scan, drawn in one ``run_grid`` call on ``stream``;
-    returns the fit and the count tables."""
-    from . import analysis, montecarlo as mc
+def _scan_visibility(thetas, alpha, tables):
+    """The fitted fringe visibility of one phase scan's count tables."""
+    from . import analysis
 
-    thetas = linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
-    tables = mc.run_grid(qdc.ExperimentSettings(basis=basis, input=args.input), model,
-                         thetas, [alpha], per_point, stream)
     surf = analysis.surface_from_counts(thetas, [alpha], tables)
     errs = [max(e, 1e-6) for e in surf.stderrs]
-    return analysis.fit_visibility(thetas, surf.values, errs), tables
+    return analysis.fit_visibility(thetas, surf.values, errs)
 
 
 def cmd_bell(args) -> int:
-    from . import analysis
+    from . import analysis, montecarlo as mc
 
     per_point = _shots_per_point(args.shots, 2 * BELL_SCAN_POINTS, "scan points")
     model = _model(args)
     print(f"seed: {model.seed}", file=sys.stderr)
-    v_hv, hv_tables = _scan_visibility(args, model, qdc.BASIS_HV, 90.0, 0, per_point)
-    v_da, da_tables = _scan_visibility(args, model, qdc.BASIS_DA, 45.0, 1, per_point)
-    _report_windows(hv_tables + da_tables)
+    # each scan is one run_grid call on its own stream; the windows of both
+    # are reported before either fit can fail
+    thetas = linspace(0.0, 2.0 * math.pi, BELL_SCAN_POINTS)
+    scans = [(alpha, mc.run_grid(qdc.ExperimentSettings(basis, args.input), model, thetas,
+                                 [alpha], per_point, stream))
+             for stream, basis, alpha in ((0, qdc.BASIS_HV, 90.0), (1, qdc.BASIS_DA, 45.0))]
+    _report_windows([table for _, tables in scans for table in tables])
+    v_hv, v_da = [_scan_visibility(thetas, alpha, tables) for alpha, tables in scans]
     s, sigma = analysis.bell_parameter(v_hv, v_da)
     nsig = analysis.classical_bound_violation(s, sigma)
     _write(args,

@@ -51,15 +51,14 @@ TERMINAL_MODES = tuple(Mode(p, pol) for p in TERMINAL_PATHS for pol in POLARIZAT
 
 
 class _Settings(NamedTuple):
-    theta: float = 0.0          # interferometer phase, radians
-    alpha_deg: float = 0.0      # corroborative rotation, degrees
     basis: str = BASIS_HV
     input: str = INPUT_ENTANGLED
 
 
 class ExperimentSettings(_Settings):
-    """Immutable apparatus settings; every construction, ``_replace`` and
-    ``_make`` included, validates the basis and the input."""
+    """The apparatus, its analysis basis and its input; a point (theta, alpha)
+    is passed beside it.  Every construction, ``_replace`` and ``_make``
+    included, validates the basis and the input."""
 
     __slots__ = ()
 
@@ -105,9 +104,9 @@ def _test_side_halves(basis: str
     return before, after
 
 
-def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
-    """Entrance splitter, phase plate, polarization-dependent splitter, and
-    the two 45-degree erasers, in propagation order.
+def test_side_circuit(settings: ExperimentSettings, theta: float) -> list[el.OpticalElement]:
+    """Entrance splitter, phase plate at ``theta``, polarization-dependent
+    splitter, and the two 45-degree erasers, in propagation order.
 
     In the diagonal analysis basis the incoming ensemble is expressed in the
     rotated frame by turning the test photon's polarization by -45 degrees
@@ -115,16 +114,18 @@ def test_side_circuit(settings: ExperimentSettings) -> list[el.OpticalElement]:
     offsetting the corroborative rotation by +45 degrees.
     """
     before, after = _test_side_halves(settings.basis)
-    return before + [el.phase_shifter(PHASE_ARM, settings.theta)] + after
+    return before + [el.phase_shifter(PHASE_ARM, theta)] + after
 
 
-def build_qdc_state(settings: ExperimentSettings) -> list[tuple[float, TwoPhotonState]]:
+def build_qdc_state(settings: ExperimentSettings, theta: float, alpha_deg: float
+                    ) -> list[tuple[float, TwoPhotonState]]:
     """Evolve each component of the configured input's ``source`` through the
-    full apparatus, element by element: one ``(weight, state)`` per component.
+    full apparatus at phase ``theta`` and corroborative rotation
+    ``alpha_deg``, element by element: one ``(weight, state)`` per component.
     This sparse path is the reference: it gives the checkpoint and dumped
     states and ``montecarlo.joint_outcome_probabilities``, and the compiled
     group forms are tested against it."""
-    chain = test_side_circuit(settings) + [el.polarization_rotator("c", settings.alpha_deg)]
+    chain = test_side_circuit(settings, theta) + [el.polarization_rotator("c", alpha_deg)]
     return [(w, el.apply_all(chain, s)) for w, s in source(settings.input)]
 
 
@@ -139,18 +140,18 @@ def _through_arms(before, after, entrance: dict[Mode, complex]) -> tuple[dict, d
 
 
 @lru_cache(maxsize=None)
-def _compiled(basis: str, input: str
+def _compiled(settings: ExperimentSettings
               ) -> tuple[tuple[tuple[float, float, float], ...], ...]:
-    """The input carried through the test side, built once per key: for each
+    """The input carried through the test side, built once per settings: for each
     group in ``GROUPS`` order, its forms ``(U, W, X)``, each as ``(c0, c1, c2)``
     meaning c0 + Re(exp(i theta) (c1 - i c2)).  Each weighted ``source`` component's
     test photon, with the corroborative photon H and V, goes through the two arms
     to ``u = a_H + exp(i theta) b_H`` and ``w = a_V + exp(i theta) b_V`` per
     terminal mode; the forms sum |u|^2, |w|^2 and Re(u conj(w)) over a group's
     modes and the components.  Summed per arm, c0 >= |c1 - i c2| to rounding."""
-    halves = _test_side_halves(basis)
+    halves = _test_side_halves(settings.basis)
     forms = [[[0.0, 0.0, 0.0] for _ in range(3)] for _ in GROUPS]
-    for weight, state in source(input):
+    for weight, state in source(settings.input):
         arms = [_through_arms(*halves, {tm: x for (cm, tm), x in state.amplitudes.items()
                                         if cm.pol == cp}) for cp in POLARIZATIONS]
         for mode in TERMINAL_MODES:
@@ -189,7 +190,7 @@ def _categories(settings: ExperimentSettings, corroborative: str, group: str,
     in theta then alpha: the group's forms over the sum of both groups',
     each weighted by the rotator, so each point costs one division."""
     ci, gi = _category_index(corroborative, group)
-    compiled = _compiled(settings.basis, settings.input)
+    compiled = _compiled(settings)
     weights = [_rotator_weights(a)[ci] for a in alphas_deg]
     out = []
     for theta in thetas:
@@ -202,14 +203,12 @@ def _categories(settings: ExperimentSettings, corroborative: str, group: str,
     return out
 
 
-def category_probability(
-    settings: ExperimentSettings, corroborative: str = "D_H", group: str = GROUP_A
-) -> float:
+def category_probability(settings: ExperimentSettings, theta: float, alpha_deg: float,
+                         corroborative: str = "D_H", group: str = GROUP_A) -> float:
     """Coincidence probability normalized per corroborative click,
-    P(group | corroborative detector).  This is the quantity the intensity
-    correlation I(theta, alpha) refers to."""
-    return _categories(settings, corroborative, group,
-                       [settings.theta], [settings.alpha_deg])[0]
+    P(group | corroborative detector), at the point (theta, alpha).  This is
+    the quantity the intensity correlation I(theta, alpha) refers to."""
+    return _categories(settings, corroborative, group, [theta], [alpha_deg])[0]
 
 
 def closed_form_ia(theta: float, alpha_deg: float) -> float:

@@ -80,12 +80,13 @@ class CountTable(NamedTuple):
         return sum(self)
 
 
-def joint_outcome_probabilities(settings: qdc.ExperimentSettings) -> list[float]:
-    """Length-8 list over (corroborative pol x terminal path) outcomes: the
-    weighted sum over the evolved source components of the sparse reference
-    ``experiment.build_qdc_state``."""
+def joint_outcome_probabilities(settings: qdc.ExperimentSettings, theta: float,
+                                alpha_deg: float) -> list[float]:
+    """Length-8 list over (corroborative pol x terminal path) outcomes at the
+    point (theta, alpha): the weighted sum over the evolved source components
+    of the sparse reference ``experiment.build_qdc_state``."""
     probs = [0.0] * 8
-    for weight, component in qdc.build_qdc_state(settings):
+    for weight, component in qdc.build_qdc_state(settings, theta, alpha_deg):
         for (cm, tm), a in component.amplitudes.items():
             probs[4 * POLARIZATIONS.index(cm.pol) + qdc.TERMINAL_PATHS.index(tm.path)] += (
                 weight * abs(a) ** 2)
@@ -96,7 +97,7 @@ def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionMo
                             thetas, alphas_deg) -> list[list[list[float]]]:
     """Exact probabilities of the 6 window cells on the whole (theta, alpha)
     grid, nested ``[theta][alpha][cell]``, cells in ``CountTable`` field
-    order.  The grid replaces ``settings.theta`` and ``settings.alpha_deg``.
+    order.
 
     Given the joint outcome the two sides click independently.  A side's
     signal detector fires with probability ``on = 1-(1-eta)(1-d)`` and each
@@ -122,7 +123,7 @@ def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionMo
     rotators = [[corr_sig * x + corr_other * y for x, y in zip(h, v)]
                 + [corr_other * x + corr_sig * y for x, y in zip(h, v)] + [h[0] + v[0]]
                 for h, v in map(qdc._rotator_weights, alphas_deg)]
-    compiled = qdc._compiled(settings.basis, settings.input)
+    compiled = qdc._compiled(settings)
     grid = []
     for theta in thetas:
         (au, aw, ax), (bu, bw, bx) = qdc._group_forms(compiled, theta)
@@ -147,12 +148,11 @@ def window_probability_grid(settings: qdc.ExperimentSettings, model: DetectionMo
     return grid
 
 
-def run(settings: qdc.ExperimentSettings, model: DetectionModel, n_shots: int,
-        stream: int = 0) -> CountTable:
-    """Draw a CountTable over ``n_shots`` windows at the point of ``settings``
+def run(settings: qdc.ExperimentSettings, model: DetectionModel, theta: float,
+        alpha_deg: float, n_shots: int, stream: int = 0) -> CountTable:
+    """Draw a CountTable over ``n_shots`` windows at the point (theta, alpha)
     from RNG stream ``stream`` (see ``run_grid``)."""
-    return run_grid(settings, model, [settings.theta], [settings.alpha_deg],
-                    n_shots, stream)[0]
+    return run_grid(settings, model, [theta], [alpha_deg], n_shots, stream)[0]
 
 
 #: ``_stirling_tail(k)`` for k < 10, where the series is not yet accurate

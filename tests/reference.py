@@ -26,10 +26,11 @@ _PATH_TO_DET = tuple(
 )
 
 
-def sample_shot(settings: qdc.ExperimentSettings, model: mc.DetectionModel,
-                rng: np.random.Generator) -> frozenset[str]:
-    """Single coincidence window; returns the set of detectors that clicked."""
-    probs = mc.joint_outcome_probabilities(settings)
+def sample_shot(settings: qdc.ExperimentSettings, model: mc.DetectionModel, theta: float,
+                alpha_deg: float, rng: np.random.Generator) -> frozenset[str]:
+    """Single coincidence window at the point (theta, alpha); returns the set
+    of detectors that clicked."""
+    probs = mc.joint_outcome_probabilities(settings, theta, alpha_deg)
     outcome = int(rng.choice(8, p=probs))
     clicked = set()
     if rng.random() < model.efficiency:
@@ -42,8 +43,9 @@ def sample_shot(settings: qdc.ExperimentSettings, model: mc.DetectionModel,
     return frozenset(clicked)
 
 
-def window_cells(settings: qdc.ExperimentSettings, model: mc.DetectionModel) -> list[float]:
-    """The 6 window cells at the point of ``settings``, in
+def window_cells(settings: qdc.ExperimentSettings, model: mc.DetectionModel, theta: float,
+                 alpha_deg: float) -> list[float]:
+    """The 6 window cells at the point (theta, alpha), in
     ``window_probability_grid`` order, as a sum over the 8 joint outcomes of
     the sparse reference state: each outcome is weighted by the probability
     that its clicks leave one corroborative and one test click in the cell's
@@ -55,7 +57,7 @@ def window_cells(settings: qdc.ExperimentSettings, model: mc.DetectionModel) -> 
     test_sig, test_other = on * (1.0 - d) ** 3, (1.0 - on) * d * (1.0 - d) ** 2
     # corroborative signal (row) -> the single click is D_H / D_V (column)
     corr = ((corr_sig, corr_other), (corr_other, corr_sig))
-    joint = mc.joint_outcome_probabilities(settings)
+    joint = mc.joint_outcome_probabilities(settings, theta, alpha_deg)
     valid = []
     for k in range(2):
         for group in qdc.GROUPS:

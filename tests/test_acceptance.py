@@ -35,17 +35,16 @@ def test_criterion_1_checkpoint_fidelity():
     t0 = time.perf_counter()
     worst = 0.0
     for theta in np.linspace(0.0, 2.0 * math.pi, 13):
-        s = qdc.ExperimentSettings(theta=float(theta))
-        pre = el.apply_all(qdc.test_side_circuit(s)[:3], qdc.bell_state())
+        circuit = qdc.test_side_circuit(qdc.ExperimentSettings(), float(theta))
+        pre = el.apply_all(circuit[:3], qdc.bell_state())
         worst = max(worst, 1.0 - fidelity(pre, qdc.reference_after_pdbs(float(theta))))
-        full = el.apply_all(qdc.test_side_circuit(s), qdc.bell_state())
+        full = el.apply_all(circuit, qdc.bell_state())
         worst = max(
             worst, 1.0 - fidelity(full, qdc.reference_after_erasers(float(theta)))
         )
         for alpha in (0.0, 30.0, 45.0, 90.0):
-            sa = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha)
             evolved = el.apply_all(
-                qdc.test_side_circuit(sa) + [el.polarization_rotator("c", alpha)],
+                circuit + [el.polarization_rotator("c", alpha)],
                 qdc.bell_state(),
             )
             worst = max(
@@ -64,11 +63,11 @@ def test_criterion_2_closed_form_oracle():
     worst = 0.0
     for theta in np.linspace(0.0, 2.0 * math.pi, 25):
         for alpha in np.linspace(0.0, 90.0, 13):
-            s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=float(alpha))
             worst = max(
                 worst,
                 abs(
-                    qdc.category_probability(s)
+                    qdc.category_probability(
+                        qdc.ExperimentSettings(), float(theta), float(alpha))
                     - qdc.closed_form_ia(float(theta), float(alpha))
                 ),
             )
@@ -82,17 +81,13 @@ def test_criterion_2_closed_form_oracle():
 def test_criterion_3_particle_and_wave_limits():
     worst_flat = max(
         abs(
-            qdc.category_probability(
-                qdc.ExperimentSettings(theta=float(t), alpha_deg=0.0)
-            )
+            qdc.category_probability(qdc.ExperimentSettings(), float(t), 0.0)
             - 0.5
         )
         for t in np.linspace(0.0, 2.0 * math.pi, 49)
     )
     wave = [
-        qdc.category_probability(
-            qdc.ExperimentSettings(theta=float(t), alpha_deg=90.0)
-        )
+        qdc.category_probability(qdc.ExperimentSettings(), float(t), 90.0)
         for t in THETAS_17
     ]
     vis = analysis.fit_visibility(THETAS_17, wave)
@@ -111,9 +106,7 @@ def test_criterion_4_visibility_morphing_law():
     worst = 0.0
     for alpha in (0.0, 30.0, 45.0, 60.0, 90.0):
         scan = [
-            qdc.category_probability(
-                qdc.ExperimentSettings(theta=float(t), alpha_deg=alpha)
-            )
+            qdc.category_probability(qdc.ExperimentSettings(), float(t), alpha)
             for t in THETAS_17
         ]
         vis = analysis.fit_visibility(THETAS_17, scan)
@@ -128,12 +121,10 @@ def test_criterion_5_da_shift():
     for theta in np.linspace(0.0, 2.0 * math.pi, 13):
         for alpha in np.linspace(0.0, 90.0, 7):
             da = qdc.category_probability(
-                qdc.ExperimentSettings(
-                    theta=float(theta), alpha_deg=float(alpha), basis=qdc.BASIS_DA
-                )
+                qdc.ExperimentSettings(basis=qdc.BASIS_DA), float(theta), float(alpha)
             )
             shifted = qdc.category_probability(
-                qdc.ExperimentSettings(theta=float(theta), alpha_deg=float(alpha) + 45.0)
+                qdc.ExperimentSettings(), float(theta), float(alpha) + 45.0
             )
             worst = max(worst, abs(da - shifted))
     ok = worst < 1e-10
@@ -157,12 +148,9 @@ def test_criterion_5_mixture_da_flat():
     for theta in np.linspace(0.0, 2.0 * math.pi, 13):
         for alpha in (0.0, 45.0, 90.0):
             p = qdc.category_probability(
-                qdc.ExperimentSettings(
-                    theta=float(theta),
-                    alpha_deg=alpha,
-                    basis=qdc.BASIS_DA,
-                    input=qdc.INPUT_MIXTURE,
-                )
+                qdc.ExperimentSettings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE),
+                float(theta),
+                alpha,
             )
             worst = max(worst, abs(p - 0.5))
     ok = worst < 1e-12
@@ -183,12 +171,12 @@ def test_criterion_6_bell_parameter():
     def scan(basis, alpha, basis_index):
         # one RNG stream per scan point, so the points' errors are independent
         values, errs = [], []
+        s = qdc.ExperimentSettings(basis=basis)
         for i, theta in enumerate(THETAS_17):
-            s = qdc.ExperimentSettings(
-                theta=float(theta), alpha_deg=alpha, basis=basis
-            )
             stream = basis_index * len(THETAS_17) + i
-            est = analysis.estimate(mc.run(s, model, per_point, stream=stream))
+            est = analysis.estimate(
+                mc.run(s, model, float(theta), alpha, per_point, stream=stream)
+            )
             values.append(est.value)
             errs.append(max(est.stderr, 1e-6))
         return analysis.fit_visibility(THETAS_17, values, errs)
@@ -223,17 +211,17 @@ def test_criterion_7_monte_carlo_convergence_and_determinism():
     worst_sigmas = 0.0
     for i, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, 5)):
         for j, alpha in enumerate(np.linspace(0.0, 90.0, 5)):
-            s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=float(alpha))
-            est = analysis.estimate(mc.run(s, model, 100_000, stream=i * 5 + j))
+            est = analysis.estimate(mc.run(qdc.ExperimentSettings(), model, float(theta),
+                                           float(alpha), 100_000, stream=i * 5 + j))
             exact = qdc.closed_form_ia(float(theta), float(alpha))
             dev = abs(est.value - exact)
             assert dev < max(4.0 * est.stderr, 1e-9)
             if est.stderr > 0:
                 worst_sigmas = max(worst_sigmas, dev / est.stderr)
 
-    s = qdc.ExperimentSettings(theta=0.8, alpha_deg=35.0)
+    s = qdc.ExperimentSettings()
     noisy = mc.DetectionModel(efficiency=0.25, dark_probability=1e-3, seed=99)
-    blobs = [mc.run(s, noisy, 120_000) for _ in range(3)]
+    blobs = [mc.run(s, noisy, 0.8, 35.0, 120_000) for _ in range(3)]
     deterministic = blobs[0] == blobs[1] == blobs[2]
     ok = deterministic
     report(

@@ -86,9 +86,7 @@ class TestFitVisibility:
         # fitted visibility equals sin^2(alpha) on analytic scans
         for alpha in (0.0, 30.0, 45.0, 60.0, 90.0):
             y = [
-                qdc.category_probability(
-                    qdc.ExperimentSettings(theta=float(t), alpha_deg=alpha)
-                )
+                qdc.category_probability(qdc.ExperimentSettings(), float(t), alpha)
                 for t in THETAS
             ]
             vis = analysis.fit_visibility(THETAS, y)
@@ -196,8 +194,8 @@ class TestSurfaceFromCounts:
         thetas, alphas, tables = np.linspace(0, 2 * math.pi, 4), (0.0, 45.0, 90.0), []
         for i, theta in enumerate(thetas):
             for alpha in alphas:
-                s = qdc.ExperimentSettings(theta=float(theta), alpha_deg=alpha)
-                tables.append(mc.run(s, model, 40_000, stream=i))
+                tables.append(mc.run(qdc.ExperimentSettings(), model, float(theta), alpha,
+                                     40_000, stream=i))
         surf = analysis.surface_from_counts(thetas, alphas, tables)
         points = zip(product(surf.thetas, surf.alphas), surf.values, surf.stderrs)
         for (theta, alpha), value, stderr in points:
@@ -311,7 +309,7 @@ class TestSurfaceColumns:
         assert surf.thetas == thetas.tolist() and surf.alphas == alphas
         assert surf.stderrs is None
         assert surf.values == [
-            qdc.category_probability(s._replace(theta=float(theta), alpha_deg=alpha))
+            qdc.category_probability(s, float(theta), alpha)
             for theta in thetas for alpha in alphas]
         assert all(type(x) is float for x in surf.thetas + surf.alphas + surf.values)
 
@@ -371,7 +369,7 @@ class TestSurfaceJson:
 class TestSurfaceCsv:
     def test_round_trip_bit_identical(self):
         model = mc.DetectionModel(seed=2)
-        table = mc.run(qdc.ExperimentSettings(theta=0.3, alpha_deg=45.0), model, 30_000)
+        table = mc.run(qdc.ExperimentSettings(), model, 0.3, 45.0, 30_000)
         surf = analysis.surface_from_counts([0.3], [45.0], [table])
         text = surf.to_csv()
         assert text.splitlines()[0] == "theta_rad,alpha_deg,estimate,stderr"

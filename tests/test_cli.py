@@ -339,9 +339,7 @@ class TestSweep:
         )
         assert code == 0
         dumped = TwoPhotonState(reference.parse_dump(state_file.read_text()))
-        [(_, expected)] = qdc.build_qdc_state(
-            qdc.ExperimentSettings(theta=0.7, alpha_deg=30.0)
-        )
+        [(_, expected)] = qdc.build_qdc_state(qdc.ExperimentSettings(), 0.7, 30.0)
         assert fidelity(dumped, expected) > 1 - 1e-12
 
 
@@ -398,6 +396,21 @@ class TestBell:
         assert out == ""
         assert err.splitlines()[-1] == "failure: no conditioned counts at theta=0.0, alpha=90.0"
 
+    @staticmethod
+    def scan_tables(seed, shots):
+        """The count tables of both ``bell`` scans: the HV scan on stream 0,
+        the DA scan on stream 1."""
+        thetas = np.linspace(0.0, 2.0 * math.pi, cli.BELL_SCAN_POINTS)
+        model = mc.DetectionModel(seed=seed)
+        per_point = shots // (2 * cli.BELL_SCAN_POINTS)
+        return [
+            table
+            for stream, (basis, alpha) in enumerate(((qdc.BASIS_HV, 90.0),
+                                                     (qdc.BASIS_DA, 45.0)))
+            for table in mc.run_grid(qdc.ExperimentSettings(basis=basis), model, thetas,
+                                     [alpha], per_point, stream=stream)
+        ]
+
     def test_reports_window_counts(self, capsys):
         code, out, err = run_cli(capsys, "bell", "--shots", "1000000", "--seed", "11")
         assert code == 0
@@ -407,17 +420,19 @@ class TestBell:
         assert counts["shots"] == per_point * 2 * cli.BELL_SCAN_POINTS
         assert counts["valid"] + counts["discarded_zero"] + counts["discarded_multi"] \
             == counts["shots"]
-        # the HV scan on stream 0, the DA scan on stream 1
-        thetas = np.linspace(0.0, 2.0 * math.pi, cli.BELL_SCAN_POINTS)
-        model = mc.DetectionModel(seed=11)
-        tables = [
-            table
-            for stream, (basis, alpha) in enumerate(((qdc.BASIS_HV, 90.0),
-                                                     (qdc.BASIS_DA, 45.0)))
-            for table in mc.run_grid(qdc.ExperimentSettings(basis=basis), model, thetas,
-                                     [alpha], per_point, stream=stream)
-        ]
-        assert counts == summed(tables)
+        assert counts == summed(self.scan_tables(11, 1000000))
+
+    @pytest.mark.parametrize("shots,seed,failure", [
+        (34, 1, "no conditioned counts at theta=0.0, alpha=90.0"),
+        (100000, 3, "visibility 1.0196 exceeds 1 beyond 3 sigma"),
+    ])
+    def test_fit_failure_still_reports_window_counts(self, capsys, shots, seed, failure):
+        # both scans are drawn and their windows reported before either fit
+        code, out, err = run_cli(capsys, "bell", "--shots", str(shots), "--seed", str(seed))
+        assert code == 2 and out == ""
+        assert err.splitlines()[0] == f"seed: {seed}"
+        assert err.splitlines()[-1] == f"failure: {failure}"
+        assert window_counts(err) == summed(self.scan_tables(seed, shots))
 
 
 class TestSampledGrid:
@@ -568,7 +583,7 @@ class TestVerify:
     def test_builds_only_the_phase_plate_per_theta(self, capsys, monkeypatch):
         # with the compiled apparatus cached, four more thetas build four
         # more elements, all of them phase plates on the phase arm
-        qdc._compiled(qdc.BASIS_HV, qdc.INPUT_ENTANGLED)
+        qdc._compiled(qdc.ExperimentSettings())
         built = {}  # grid -> (elements, phase plates)
         for grid in (5, 9):
             names = []

@@ -120,8 +120,8 @@ class TestPdbs:
         # Bell input through entrance splitter + phase + splitter matches the
         # hand-expanded reference state
         for theta in np.linspace(0, 2 * math.pi, 13):
-            s = qdc.ExperimentSettings(theta=float(theta))
-            evolved = el.apply_all(qdc.test_side_circuit(s)[:3], qdc.bell_state())
+            circuit = qdc.test_side_circuit(qdc.ExperimentSettings(), float(theta))
+            evolved = el.apply_all(circuit[:3], qdc.bell_state())
             f = fidelity(evolved, qdc.reference_after_pdbs(float(theta)))
             assert f > 1 - 1e-10
 
@@ -142,8 +142,8 @@ class TestPbsRotated:
 
     def test_eraser_checkpoint(self):
         for theta in np.linspace(0, 2 * math.pi, 13):
-            s = qdc.ExperimentSettings(theta=float(theta))
-            evolved = el.apply_all(qdc.test_side_circuit(s), qdc.bell_state())
+            circuit = qdc.test_side_circuit(qdc.ExperimentSettings(), float(theta))
+            evolved = el.apply_all(circuit, qdc.bell_state())
             assert fidelity(evolved, qdc.reference_after_erasers(float(theta))) > 1 - 1e-10
 
 
@@ -161,9 +161,9 @@ class TestPolarizationRotator:
     def test_rotator_checkpoint(self):
         for theta in (0.0, 1.0, math.pi, 5.0):
             for alpha in (0.0, 30.0, 45.0, 90.0):
-                s = qdc.ExperimentSettings(theta=theta, alpha_deg=alpha)
                 evolved = el.apply_all(
-                    qdc.test_side_circuit(s) + [el.polarization_rotator("c", alpha)],
+                    qdc.test_side_circuit(qdc.ExperimentSettings(), theta)
+                    + [el.polarization_rotator("c", alpha)],
                     qdc.bell_state(),
                 )
                 assert fidelity(evolved, qdc.reference_after_rotator(theta, alpha)) > 1 - 1e-10

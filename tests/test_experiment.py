@@ -24,31 +24,31 @@ def compiled_joint(s, thetas, alphas):
     """P(corroborative polarization, test group) on the grid from the compiled
     group forms, indexed ``[theta][alpha][pol][group]``.  Unlike the window
     cells it is not divided by its sum, so a sum-to-one check can fail."""
-    compiled = qdc._compiled(s.basis, s.input)
+    compiled = qdc._compiled(s)
     forms = [qdc._group_forms(compiled, float(t)) for t in thetas]
     weights = [qdc._rotator_weights(float(a)) for a in alphas]
     return np.array([[[[np.dot(k, f) for f in row] for k in pol_weights]
                       for pol_weights in weights] for row in forms])
 
 
-def group_joint(s, corroborative, group):
-    """P(corroborative detector, test group) at the point of ``s``, from the
-    compiled group forms."""
-    return compiled_joint(s, [s.theta], [s.alpha_deg])[0, 0][
+def group_joint(s, theta, alpha, corroborative, group):
+    """P(corroborative detector, test group) at the point (theta, alpha), from
+    the compiled group forms."""
+    return compiled_joint(s, [theta], [alpha])[0, 0][
         qdc.CORROBORATIVE_DETECTORS.index(corroborative), qdc.GROUPS.index(group)]
 
 
 class TestBuildState:
     def test_alpha_zero_matches_eraser_checkpoint(self):
         for theta in np.linspace(0, 2 * math.pi, 9):
-            [(_, state)] = qdc.build_qdc_state(settings(theta=float(theta)))
+            [(_, state)] = qdc.build_qdc_state(settings(), float(theta), 0.0)
             assert fidelity(state, qdc.reference_after_erasers(float(theta))) > 1 - 1e-10
 
     def test_lower_arm_amplitude_before_erasers(self):
         # corroborative H paired with the lower-arm H mode carries i e^{i theta}/2
         for theta in (0.0, 0.9, math.pi):
-            s = settings(theta=theta)
-            pre = el.apply_all(qdc.test_side_circuit(s)[:3], qdc.bell_state())
+            pre = el.apply_all(qdc.test_side_circuit(settings(), theta)[:3],
+                               qdc.bell_state())
             a = pre.amplitudes[(Mode("c", H), Mode("b", H))]
             expected = 0.5j * complex(math.cos(theta), math.sin(theta))
             assert a == pytest.approx(expected, abs=1e-12)
@@ -57,15 +57,15 @@ class TestBuildState:
         # the norms each element builds, before the state constructor
         # normalizes them: every element keeps each component's norm
         norms = reference.raw_norms(monkeypatch)
-        s = settings(theta=1.3, input=qdc.INPUT_MIXTURE)
-        components = qdc.build_qdc_state(s)
+        s = settings(input=qdc.INPUT_MIXTURE)
+        components = qdc.build_qdc_state(s, 1.3, 0.0)
         assert len(components) == 2
         for w, _ in components:
             assert w == pytest.approx(0.5)
-        assert len(norms) == 2 * (len(qdc.test_side_circuit(s)) + 1)  # + the rotator
+        assert len(norms) == 2 * (len(qdc.test_side_circuit(s, 1.3)) + 1)  # + the rotator
         assert max(abs(n - 1.0) for n in norms) < 1e-12
         # the entangled input is one component of weight 1
-        [(weight, _)] = qdc.build_qdc_state(s._replace(input=qdc.INPUT_ENTANGLED))
+        [(weight, _)] = qdc.build_qdc_state(s._replace(input=qdc.INPUT_ENTANGLED), 1.3, 0.0)
         assert weight == 1.0
 
     def test_invalid_settings_rejected(self):
@@ -75,51 +75,56 @@ class TestBuildState:
             settings(input="thermal")
 
     def test_copies_are_validated(self):
-        s = settings(theta=0.3)
-        assert s._replace(basis=qdc.BASIS_DA) == settings(theta=0.3, basis=qdc.BASIS_DA)
+        s = settings(input=qdc.INPUT_MIXTURE)
+        assert s._replace(basis=qdc.BASIS_DA) == settings(basis=qdc.BASIS_DA,
+                                                          input=qdc.INPUT_MIXTURE)
         with pytest.raises(ValueError, match="basis"):
             s._replace(basis="XY")
         with pytest.raises(ValueError, match="input"):
             s._replace(input="thermal")
         with pytest.raises(ValueError, match="basis"):
-            qdc.ExperimentSettings._make((0.0, 0.0, "XY", qdc.INPUT_ENTANGLED))
+            qdc.ExperimentSettings._make(("XY", qdc.INPUT_ENTANGLED))
 
     def test_settings_are_immutable(self):
         s = settings()
         with pytest.raises(AttributeError):
-            s.theta = 1.0
+            s.basis = qdc.BASIS_DA
         with pytest.raises(AttributeError):
             s.extra = 1.0
+
+    def test_settings_hold_no_point(self):
+        # the settings are the apparatus only; a point is passed beside them
+        assert qdc.ExperimentSettings._fields == ("basis", "input")
+        for field in ("theta", "alpha_deg"):
+            with pytest.raises(TypeError):
+                qdc.ExperimentSettings(**{field: 1.0})
 
 
 class TestCategoryProbability:
     def test_particle_limit_half_any_theta(self):
         for theta in np.linspace(0, 2 * math.pi, 25):
-            p = qdc.category_probability(settings(theta=float(theta), alpha_deg=0.0))
+            p = qdc.category_probability(settings(), float(theta), 0.0)
             assert abs(p - 0.5) < 1e-12
 
     def test_wave_limit_peak(self):
-        p = qdc.category_probability(settings(theta=0.0, alpha_deg=90.0))
+        p = qdc.category_probability(settings(), 0.0, 90.0)
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_intermediate_point(self):
-        p = qdc.category_probability(settings(theta=math.pi, alpha_deg=45.0))
+        p = qdc.category_probability(settings(), math.pi, 45.0)
         assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_oracle_equivalence_grid(self):
         for theta in np.linspace(0, 2 * math.pi, 25):
             for alpha in np.linspace(0, 90, 13):
-                p = qdc.category_probability(
-                    settings(theta=float(theta), alpha_deg=float(alpha))
-                )
+                p = qdc.category_probability(settings(), float(theta), float(alpha))
                 assert abs(p - qdc.closed_form_ia(float(theta), float(alpha))) < 1e-10
 
     def test_joint_partition_sums_to_one(self):
         for theta in np.linspace(0, 2 * math.pi, 7):
             for alpha in (0.0, 20.0, 45.0, 90.0):
-                s = settings(theta=float(theta), alpha_deg=alpha)
                 total = sum(
-                    group_joint(s, corr, grp)
+                    group_joint(settings(), float(theta), alpha, corr, grp)
                     for corr in qdc.CORROBORATIVE_DETECTORS
                     for grp in qdc.GROUPS
                 )
@@ -130,8 +135,7 @@ class TestCategoryProbability:
         # the individual detectors but the group sum is interference-free:
         # brute-force amplitude expansion vs the closed form
         theta, alpha = 1.234, 37.0
-        s = settings(theta=theta, alpha_deg=alpha)
-        [(_, state)] = qdc.build_qdc_state(s)
+        [(_, state)] = qdc.build_qdc_state(settings(), theta, alpha)
         per_path = {
             p: sum(
                 abs(a) ** 2
@@ -161,30 +165,31 @@ class TestClosedForm:
 
 class TestComplementary:
     def test_opposite_group_vanishes_at_wave_peak(self):
-        s = settings(theta=0.0, alpha_deg=90.0)
-        assert qdc.category_probability(s, "D_H", qdc.GROUP_B) == pytest.approx(
+        s = settings()
+        assert qdc.category_probability(s, 0.0, 90.0, "D_H", qdc.GROUP_B) == pytest.approx(
             0.0, abs=1e-12
         )
         # the orthogonally gated subensemble is the particle-like one
-        assert qdc.category_probability(s, "D_V", qdc.GROUP_A) == pytest.approx(
+        assert qdc.category_probability(s, 0.0, 90.0, "D_V", qdc.GROUP_A) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_joint_categories_sum_to_group_marginal(self):
-        s = settings(theta=0.7, alpha_deg=25.0)
-        [(_, state)] = qdc.build_qdc_state(s)
+        s = settings()
+        [(_, state)] = qdc.build_qdc_state(s, 0.7, 25.0)
         p_a = sum(
             abs(a) ** 2
             for (cm, tm), a in state.amplitudes.items()
             if tm.path in qdc.GROUP_PATHS[qdc.GROUP_A]
         )
-        joint_sum = group_joint(s, "D_H", qdc.GROUP_A) + group_joint(s, "D_V", qdc.GROUP_A)
+        joint_sum = (group_joint(s, 0.7, 25.0, "D_H", qdc.GROUP_A)
+                     + group_joint(s, 0.7, 25.0, "D_V", qdc.GROUP_A))
         assert joint_sum == pytest.approx(p_a, abs=1e-12)
 
     def test_complement_relation(self):
-        s = settings(theta=2.2, alpha_deg=70.0)
-        assert qdc.category_probability(s, "D_H", qdc.GROUP_B) == pytest.approx(
-            1.0 - qdc.category_probability(s, "D_H", qdc.GROUP_A), abs=1e-12
+        s = settings()
+        assert qdc.category_probability(s, 2.2, 70.0, "D_H", qdc.GROUP_B) == pytest.approx(
+            1.0 - qdc.category_probability(s, 2.2, 70.0, "D_H", qdc.GROUP_A), abs=1e-12
         )
 
 
@@ -232,21 +237,17 @@ class TestDaEquivalenceForEntangledInput:
         # diagonal frame is the same as offsetting the analyzer by 45 deg
         for theta in (0.0, 1.1, math.pi):
             for alpha in (0.0, 20.0, 45.0):
-                [(_, da)] = qdc.build_qdc_state(
-                    settings(theta=theta, alpha_deg=alpha, basis=qdc.BASIS_DA)
-                )
-                [(_, offset)] = qdc.build_qdc_state(
-                    settings(theta=theta, alpha_deg=alpha + 45.0)
-                )
+                [(_, da)] = qdc.build_qdc_state(settings(basis=qdc.BASIS_DA), theta, alpha)
+                [(_, offset)] = qdc.build_qdc_state(settings(), theta, alpha + 45.0)
                 assert fidelity(da, offset) > 1 - 1e-10
 
 
-def reference_joint(s):
-    """(corroborative pol, terminal path) probabilities from the sparse,
-    element-by-element reference path, summed over the terminal
-    polarization, summed over the weighted source components."""
+def reference_joint(s, theta, alpha):
+    """(corroborative pol, terminal path) probabilities at the point (theta,
+    alpha) from the sparse, element-by-element reference path, summed over the
+    terminal polarization, summed over the weighted source components."""
     out = np.zeros((2, len(qdc.TERMINAL_PATHS)))
-    for w, comp in qdc.build_qdc_state(s):
+    for w, comp in qdc.build_qdc_state(s, theta, alpha):
         for (cm, tm), a in comp.amplitudes.items():
             out[(H, V).index(cm.pol), qdc.TERMINAL_PATHS.index(tm.path)] += w * abs(a) ** 2
     return out
@@ -273,9 +274,7 @@ class TestCompiledEquivalence:
                     for grp in qdc.GROUPS]
         for i, theta in enumerate(self.thetas):
             for j, alpha in enumerate(self.alphas):
-                ref = reference_joint(
-                    s._replace(theta=float(theta), alpha_deg=float(alpha))
-                )
+                ref = reference_joint(s, float(theta), float(alpha))
                 by_group = np.array([[row[g].sum() for g in in_group] for row in ref])
                 assert np.abs(batched[i, j] - by_group).max() <= 1e-12
                 assert np.abs(ideal[i, j, :4] - by_group.ravel()).max() <= 1e-12
@@ -288,13 +287,21 @@ class TestCompiledEquivalence:
             for grp in qdc.GROUPS:
                 surf = qdc.surface(s, self.thetas, self.alphas, corr, grp)
                 for (theta, alpha), value in grid_points(surf):
-                    point = s._replace(theta=theta, alpha_deg=alpha)
-                    ref = reference_joint(point)
+                    ref = reference_joint(s, theta, alpha)
                     row = ref[qdc.CORROBORATIVE_DETECTORS.index(corr)]
                     in_group = [p in qdc.GROUP_PATHS[grp] for p in qdc.TERMINAL_PATHS]
                     joint = row[in_group].sum()
                     assert abs(value - joint / row.sum()) <= 1e-12
-                    assert abs(group_joint(point, corr, grp) - joint) <= 1e-12
+                    assert abs(group_joint(s, theta, alpha, corr, grp) - joint) <= 1e-12
+
+    @pytest.mark.parametrize("basis,input", cases)
+    def test_one_point_is_its_one_row_grid(self, basis, input):
+        # category_probability is the one-point grid, bit for bit
+        s = settings(basis=basis, input=input)
+        for corr, grp in product(qdc.CORROBORATIVE_DETECTORS, qdc.GROUPS):
+            for theta, alpha in product(self.thetas.tolist(), self.alphas.tolist()):
+                assert qdc.category_probability(s, theta, alpha, corr, grp) == qdc.surface(
+                    s, [theta], [alpha], corr, grp).values[0]
 
     @pytest.mark.parametrize("n_theta,n_alpha", [(1, 1), (1, 5), (5, 1)])
     def test_degenerate_grids(self, n_theta, n_alpha):
@@ -319,8 +326,8 @@ class TestCompiledEquivalence:
             a, b = qdc._through_arms(*halves, entrance)
             assert set(a) | set(b) <= set(qdc.TERMINAL_MODES)
             for theta in (0.0, 1.1, 8.0):
-                s = settings(theta=theta, basis=basis)
-                whole = el.propagate(qdc.test_side_circuit(s), entrance)
+                whole = el.propagate(qdc.test_side_circuit(settings(basis=basis), theta),
+                                     entrance)
                 assert set(whole) <= set(qdc.TERMINAL_MODES)
                 u = [a.get(m, 0j) + np.exp(1j * theta) * b.get(m, 0j)
                      for m in qdc.TERMINAL_MODES]
@@ -336,7 +343,7 @@ class TestCompiledEquivalence:
         s = settings(basis=basis, input=input)
         thetas, alphas = np.linspace(-1.0, 10.0, 23), np.linspace(-30.0, 150.0, 19)
         for joint in (compiled_joint(s, thetas, alphas), np.array([
-                [reference_joint(s._replace(theta=float(t), alpha_deg=float(a)))
+                [reference_joint(s, float(t), float(a))
                  for a in alphas] for t in thetas])):
             corroborative = joint.sum(axis=3)  # [theta][alpha][pol]
             test_side = joint.sum(axis=2)      # [theta][alpha][group or path]

@@ -23,9 +23,9 @@ IDEAL = dict(efficiency=1.0, dark_probability=0.0)
 CATEGORIES = [(corr, grp) for corr in qdc.CORROBORATIVE_DETECTORS for grp in qdc.GROUPS]
 
 
-def window_cells(s, model):
-    """The 6 window-cell probabilities at the point of ``s``."""
-    return mc.window_probability_grid(s, model, [s.theta], [s.alpha_deg])[0][0]
+def window_cells(s, model, theta, alpha):
+    """The 6 window-cell probabilities at the point (theta, alpha)."""
+    return mc.window_probability_grid(s, model, [theta], [alpha])[0][0]
 
 
 def window_cell(clicked: frozenset) -> int:
@@ -76,11 +76,10 @@ class TestSampleShot:
     def test_ideal_shot_has_one_click_per_side(self):
         rng = np.random.default_rng(0)
         model = mc.DetectionModel(seed=0, **IDEAL)
-        s = settings(alpha_deg=0.0)
         n_a = n_h = 0
         n = 2000
         for _ in range(n):
-            clicked = reference.sample_shot(s, model, rng)
+            clicked = reference.sample_shot(settings(), model, 0.0, 0.0, rng)
             corr = clicked & {"D_H", "D_V"}
             test = clicked - corr
             assert len(corr) == 1 and len(test) == 1
@@ -98,28 +97,30 @@ class TestSampleShot:
         rng = np.random.default_rng(1)
         model = mc.DetectionModel(efficiency=0.0, dark_probability=0.0, seed=0)
         for _ in range(200):
-            assert reference.sample_shot(settings(), model, rng) == frozenset()
+            assert reference.sample_shot(settings(), model, 0.0, 0.0, rng) == frozenset()
 
     def test_saturated_dark_counts_click_everything(self):
         rng = np.random.default_rng(2)
         model = mc.DetectionModel(efficiency=0.0, dark_probability=1.0, seed=0)
-        assert reference.sample_shot(settings(), model, rng) == frozenset(reference.DETECTORS)
+        assert reference.sample_shot(settings(), model, 0.0, 0.0, rng) == frozenset(
+            reference.DETECTORS)
 
 
 class TestWindowProbabilities:
+    # each case's ``s`` is a point: (settings, theta, alpha)
     CASES = [
-        (settings(theta=1.0, alpha_deg=40.0), 0.25, 1e-3),
-        (settings(theta=0.3, alpha_deg=70.0, basis=qdc.BASIS_DA,
-                  input=qdc.INPUT_MIXTURE), 0.6, 0.05),
-        (settings(theta=2.0, alpha_deg=10.0), 1.0, 0.3),
-        (settings(theta=4.0, alpha_deg=90.0), 0.0, 0.0),
-        (settings(theta=0.5), 0.7, 1.0),
+        ((settings(), 1.0, 40.0), 0.25, 1e-3),
+        ((settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE), 0.3, 70.0), 0.6, 0.05),
+        ((settings(), 2.0, 10.0), 1.0, 0.3),
+        ((settings(), 4.0, 90.0), 0.0, 0.0),
+        ((settings(), 0.5, 0.0), 0.7, 1.0),
     ]
 
     @pytest.mark.parametrize("s,eta,dark", CASES)
     def test_sums_to_one(self, s, eta, dark):
+        s, theta, alpha = s
         model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
-        p = np.array(window_cells(s, model))
+        p = np.array(window_cells(s, model, theta, alpha))
         assert p.shape == (6,)
         assert np.all(p >= 0.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -131,7 +132,8 @@ class TestWindowProbabilities:
         def bernoulli(q, hit):
             return q if hit else 1.0 - q
 
-        joint = mc.joint_outcome_probabilities(s)
+        s, theta, alpha = s
+        joint = mc.joint_outcome_probabilities(s, theta, alpha)
         cells = np.zeros(6)
         for outcome in range(8):
             signals = (qdc.CORROBORATIVE_DETECTORS[outcome // 4],
@@ -147,13 +149,12 @@ class TestWindowProbabilities:
                         weight *= bernoulli(dark, hit)
                     cells[window_cell(frozenset(clicked))] += weight
         model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
-        np.testing.assert_allclose(window_cells(s, model), cells,
+        np.testing.assert_allclose(window_cells(s, model, theta, alpha), cells,
                                    rtol=0, atol=1e-12)
 
     def test_ideal_detectors_give_joint_probabilities_by_group(self):
-        s = settings(theta=1.3, alpha_deg=25.0)
-        p = window_cells(s, mc.DetectionModel(**IDEAL))
-        joint = mc.joint_outcome_probabilities(s)
+        p = window_cells(settings(), mc.DetectionModel(**IDEAL), 1.3, 25.0)
+        joint = mc.joint_outcome_probabilities(settings(), 1.3, 25.0)
         for i, (corr, grp) in enumerate(CATEGORIES):
             ci = qdc.CORROBORATIVE_DETECTORS.index(corr)
             expected = sum(
@@ -166,23 +167,23 @@ class TestWindowProbabilities:
 
     def test_blind_detectors_give_only_zero_windows(self):
         model = mc.DetectionModel(efficiency=0.0, dark_probability=0.0)
-        p = window_cells(settings(theta=0.9), model)
+        p = window_cells(settings(), model, 0.9, 0.0)
         assert list(p) == [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_saturated_dark_counts_give_only_multi_windows(self):
         model = mc.DetectionModel(efficiency=0.3, dark_probability=1.0)
-        p = window_cells(settings(theta=0.9), model)
+        p = window_cells(settings(), model, 0.9, 0.0)
         assert list(p) == [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_sample_shot_matches_cells_chi_square(self):
-        s = settings(theta=1.0, alpha_deg=40.0)
+        s = settings()
         model = mc.DetectionModel(efficiency=0.5, dark_probability=0.05)
         rng = np.random.default_rng(2026)
         n = 2000
         observed = np.zeros(6)
         for _ in range(n):
-            observed[window_cell(reference.sample_shot(s, model, rng))] += 1
-        expected = n * np.array(window_cells(s, model))
+            observed[window_cell(reference.sample_shot(s, model, 1.0, 40.0, rng))] += 1
+        expected = n * np.array(window_cells(s, model, 1.0, 40.0))
         assert expected.min() > 5  # every cell populated
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         # 5 degrees of freedom; 20.52 is the 0.1 % critical value
@@ -192,32 +193,32 @@ class TestWindowProbabilities:
 class TestRun:
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
-            mc.run(settings(), mc.DetectionModel(seed=1), 0)
+            mc.run(settings(), mc.DetectionModel(seed=1), 0.0, 0.0, 0)
 
     def test_wave_peak_estimate(self):
         model = mc.DetectionModel(seed=5, **IDEAL)
-        table = mc.run(settings(theta=0.0, alpha_deg=90.0), model, 100_000)
+        table = mc.run(settings(), model, 0.0, 90.0, 100_000)
         est = analysis.estimate(table)
-        assert est.defined
+        assert est is not None
         assert est.value == pytest.approx(1.0, abs=1e-9)
 
     def test_counts_account_for_all_shots(self):
         model = mc.DetectionModel(efficiency=0.25, dark_probability=1e-3, seed=9)
-        table = mc.run(settings(theta=1.0, alpha_deg=40.0), model, 50_000)
+        table = mc.run(settings(), model, 1.0, 40.0, 50_000)
         assert table.valid + table.discarded_zero + table.discarded_multi == 50_000
         assert sum(table[:4]) == table.valid
 
     def test_determinism_same_seed(self):
         model = mc.DetectionModel(seed=123)
-        s = settings(theta=0.4, alpha_deg=55.0)
-        first = mc.run(s, model, 70_000, stream=3)
-        assert all(mc.run(s, model, 70_000, stream=3) == first for _ in range(2))
-        assert mc.run(s, model, 70_000, stream=4) != first
+        s = settings()
+        first = mc.run(s, model, 0.4, 55.0, 70_000, stream=3)
+        assert all(mc.run(s, model, 0.4, 55.0, 70_000, stream=3) == first for _ in range(2))
+        assert mc.run(s, model, 0.4, 55.0, 70_000, stream=4) != first
 
     def test_different_seeds_within_scatter(self):
-        s = settings(theta=1.0, alpha_deg=60.0)
         ests = [
-            analysis.estimate(mc.run(s, mc.DetectionModel(seed=seed, **IDEAL), 50_000))
+            analysis.estimate(mc.run(settings(), mc.DetectionModel(seed=seed, **IDEAL),
+                                     1.0, 60.0, 50_000))
             for seed in (1, 2, 3)
         ]
         exact = qdc.closed_form_ia(1.0, 60.0)
@@ -229,33 +230,33 @@ class TestRun:
         for i, theta in enumerate(np.linspace(0, 2 * math.pi, 5)):
             for j, alpha in enumerate(np.linspace(0, 90, 5)):
                 model = mc.DetectionModel(seed=model_seed, **IDEAL)
-                s = settings(theta=float(theta), alpha_deg=float(alpha))
-                est = analysis.estimate(mc.run(s, model, 100_000, stream=i * 5 + j))
+                est = analysis.estimate(mc.run(settings(), model, float(theta), float(alpha),
+                                               100_000, stream=i * 5 + j))
                 exact = qdc.closed_form_ia(float(theta), float(alpha))
                 tol = 4 * est.stderr if est.stderr > 0 else 1e-9
                 assert abs(est.value - exact) < max(tol, 1e-9)
 
     def test_efficiency_independence_fair_sampling(self):
-        s = settings(theta=1.2, alpha_deg=50.0)
-        e1 = analysis.estimate(
-            mc.run(s, mc.DetectionModel(efficiency=1.0, dark_probability=0.0, seed=21), 200_000)
-        )
-        e2 = analysis.estimate(
-            mc.run(s, mc.DetectionModel(efficiency=0.25, dark_probability=0.0, seed=22), 200_000)
-        )
+        s = settings()
+        e1 = analysis.estimate(mc.run(
+            s, mc.DetectionModel(efficiency=1.0, dark_probability=0.0, seed=21), 1.2, 50.0,
+            200_000))
+        e2 = analysis.estimate(mc.run(
+            s, mc.DetectionModel(efficiency=0.25, dark_probability=0.0, seed=22), 1.2, 50.0,
+            200_000))
         combined = math.hypot(e1.stderr, e2.stderr)
         assert abs(e1.value - e2.value) < 4 * combined
 
     def test_dark_counts_bias_toward_half(self):
         # at the wave peak the ideal correlation is 1; accidentals pull the
         # estimate monotonically toward 0.5
-        s = settings(theta=0.0, alpha_deg=90.0)
+        s = settings()
         values = []
         for stream, dark in enumerate((1e-3, 1e-2, 5e-2)):
             model = mc.DetectionModel(efficiency=0.25, dark_probability=dark, seed=77)
-            est = analysis.estimate(mc.run(s, model, 400_000, stream=stream))
+            est = analysis.estimate(mc.run(s, model, 0.0, 90.0, 400_000, stream=stream))
             values.append(est.value)
-            p = window_cells(s, model)
+            p = window_cells(s, model, 0.0, 90.0)
             exact = p[0] / (p[0] + p[1])  # (D_H, A) given D_H
             assert abs(est.value - exact) < 4 * est.stderr
         assert values[0] > values[1] > values[2] > 0.5
@@ -263,10 +264,8 @@ class TestRun:
     def test_mixture_da_categories_balanced_at_quadrature(self):
         # at theta = pi/2 the dephased diagonal-frame ensemble populates the
         # four categories uniformly
-        s = settings(
-            theta=math.pi / 2, basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE
-        )
-        table = mc.run(s, mc.DetectionModel(seed=31, **IDEAL), 100_000)
+        s = settings(basis=qdc.BASIS_DA, input=qdc.INPUT_MIXTURE)
+        table = mc.run(s, mc.DetectionModel(seed=31, **IDEAL), math.pi / 2, 0.0, 100_000)
         for n in table[:4]:
             f = n / table.valid
             sigma = math.sqrt(0.25 * 0.75 / table.valid)
@@ -284,14 +283,12 @@ class TestGrid:
     @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
     def test_window_grid_matches_each_point(self, eta, dark, basis, inp):
         model = mc.DetectionModel(efficiency=eta, dark_probability=dark)
-        grid = np.array(mc.window_probability_grid(settings(basis=basis, input=inp), model,
-                                                   self.THETAS, self.ALPHAS))
+        s = settings(basis=basis, input=inp)
+        grid = np.array(mc.window_probability_grid(s, model, self.THETAS, self.ALPHAS))
         assert grid.shape == (len(self.THETAS), len(self.ALPHAS), 6)
         for i, theta in enumerate(self.THETAS):
             for j, alpha in enumerate(self.ALPHAS):
-                point = window_cells(
-                    settings(theta=float(theta), alpha_deg=float(alpha), basis=basis,
-                             input=inp), model)
+                point = window_cells(s, model, float(theta), float(alpha))
                 np.testing.assert_allclose(grid[i, j], point, rtol=0, atol=1e-15)
 
     def test_grid_is_drawn_row_major_from_one_generator(self):
@@ -304,9 +301,19 @@ class TestGrid:
         cells = [p for row in mc.window_probability_grid(base, model, self.THETAS,
                                                          self.ALPHAS) for p in row]
         assert tables == [mc._table(random, 5000, p) for p in cells]
-        first = settings(theta=float(self.THETAS[0]), alpha_deg=float(self.ALPHAS[0]),
-                         basis=base.basis, input=base.input)
-        assert mc.run(first, model, 5000, stream=17) == tables[0]
+        assert mc.run(base, model, float(self.THETAS[0]), float(self.ALPHAS[0]), 5000,
+                      stream=17) == tables[0]
+
+    @pytest.mark.parametrize("basis", [qdc.BASIS_HV, qdc.BASIS_DA])
+    @pytest.mark.parametrize("inp", [qdc.INPUT_ENTANGLED, qdc.INPUT_MIXTURE])
+    def test_one_point_run_is_its_one_row_grid(self, basis, inp):
+        # run is the one-point grid on the same stream, table for table
+        model = mc.DetectionModel(efficiency=0.4, dark_probability=2e-3, seed=314)
+        s = settings(basis=basis, input=inp)
+        for stream, (theta, alpha) in enumerate(itertools.product(self.THETAS.tolist(),
+                                                                  self.ALPHAS.tolist())):
+            assert mc.run(s, model, theta, alpha, 5000, stream) == mc.run_grid(
+                s, model, [theta], [alpha], 5000, stream)[0]
 
     @pytest.mark.parametrize("seed,stream", [(0, 0), (314, 17), (2**63 - 1, 2**32 - 1),
                                              (2**200 - 1, 1)])
@@ -355,10 +362,10 @@ class TestGrid:
 
     def test_seed_must_be_an_integer(self):
         s = settings()
-        assert mc.run(s, mc.DetectionModel(seed=np.int64(3)), 1000) == mc.run(
-            s, mc.DetectionModel(seed=3), 1000)
+        assert mc.run(s, mc.DetectionModel(seed=np.int64(3)), 0.0, 0.0, 1000) == mc.run(
+            s, mc.DetectionModel(seed=3), 0.0, 0.0, 1000)
         with pytest.raises(TypeError):
-            mc.run(s, mc.DetectionModel(seed=1.5), 1000)
+            mc.run(s, mc.DetectionModel(seed=1.5), 0.0, 0.0, 1000)
 
     @pytest.mark.parametrize("stream,n", [(-1, 1), (-3, 5), (2**32, 1)])
     def test_streams_outside_32_bits_rejected(self, stream, n):
@@ -367,7 +374,7 @@ class TestGrid:
         with pytest.raises(ValueError, match="outside"):
             mc.run_grid(settings(), model, [0.0], [0.0] * n, 100, stream=stream)
         with pytest.raises(ValueError, match="outside"):
-            mc.run(settings(), model, 100, stream=stream)
+            mc.run(settings(), model, 0.0, 0.0, 100, stream=stream)
 
 
 def binomial_pmf(n, p):
@@ -528,14 +535,13 @@ class TestWindowReference:
             alphas = [90.0 if basis == qdc.BASIS_HV else 45.0]
         else:
             thetas, alphas = np.linspace(-1.0, 9.7, 7), np.linspace(-30.0, 135.0, 6)
-        grid = mc.window_probability_grid(settings(basis=basis, input=inp), model,
-                                          thetas, alphas)
+        s = settings(basis=basis, input=inp)
+        grid = mc.window_probability_grid(s, model, thetas, alphas)
         assert len(grid) == len(thetas)
         for theta, row in zip(thetas, grid):
             assert len(row) == len(alphas)
             for alpha, cells in zip(alphas, row):
-                ref = reference.window_cells(settings(theta=float(theta), alpha_deg=float(alpha),
-                                                      basis=basis, input=inp), model)
+                ref = reference.window_cells(s, model, float(theta), float(alpha))
                 np.testing.assert_allclose(cells, ref, rtol=0, atol=1e-15)
                 # exactly, since a multinomial draw rejects a cell of -1e-17
                 assert all(cell >= 0.0 for cell in cells)
@@ -574,6 +580,5 @@ class TestEstimate:
         assert est.stderr == pytest.approx(0.05)
 
     def test_degenerate_flagged(self):
-        est = analysis.estimate(self._table(0, 0))
-        assert not est.defined
+        assert analysis.estimate(self._table(0, 0)) is None
 
